@@ -30,13 +30,13 @@ class AbstractorOutput:
 
 def init_abstractor(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     return {
-        "abs.v.w0": nn.init_weight(rng, cfg.e_v, cfg.h_v),
-        "abs.v.b0": nn.init_bias(cfg.h_v),
-        "abs.v.w1": nn.init_weight(rng, cfg.h_v, cfg.p),
+        "abs.v.w0": nn.init_weight(rng, cfg.e_v, cfg.e_v),
+        "abs.v.b0": nn.init_bias(cfg.e_v),
+        "abs.v.w1": nn.init_weight(rng, cfg.e_v, cfg.p),
         "abs.v.b1": nn.init_bias(cfg.p),
-        "abs.l.w0": nn.init_weight(rng, cfg.e_l, cfg.h_l),
-        "abs.l.b0": nn.init_bias(cfg.h_l),
-        "abs.l.w1": nn.init_weight(rng, cfg.h_l, cfg.p),
+        "abs.l.w0": nn.init_weight(rng, cfg.e_l, cfg.e_l),
+        "abs.l.b0": nn.init_bias(cfg.e_l),
+        "abs.l.w1": nn.init_weight(rng, cfg.e_l, cfg.p),
         "abs.l.b1": nn.init_bias(cfg.p),
     }
 

@@ -85,8 +85,8 @@ def decoupled_attention(
     their own row slots of the combined sequence (the only shape-consistent
     reading of summing an S_V-row and an S_L-row operand).
     """
-    n_v = T.layer_norm(x_v, params["adp.ln_v.g"], params["adp.ln_v.b"], cfg.ln_eps)
-    n_l = T.layer_norm(x_l, params["adp.ln_l.g"], params["adp.ln_l.b"], cfg.ln_eps)
+    n_v = T.layer_norm(x_v, params["adp.ln_v.g"], params["adp.ln_v.b"])
+    n_l = T.layer_norm(x_l, params["adp.ln_l.g"], params["adp.ln_l.b"])
     n_tilde = T.concat([n_v, n_l], axis=-2)
     q = T.matmul(n_tilde, params["adp.w_q"])
     k = T.concat([T.matmul(x_v, params["adp.w_kv"]), T.matmul(x_l, params["adp.w_kl"])], axis=-2)
@@ -114,11 +114,3 @@ def adaptor_forward(
     x_v, x_l, gate = apply_modality_indicator(x, params["adp.ind.raw"], cfg.s_v)
     f2 = decoupled_attention(x_v, x_l, params, cfg, l_mask)
     return AdaptorOutput(x_unified=x, gate=gate, f2=f2)
-
-
-def indicator_regularizer(gate: Tensor, s_v: int, weight: float) -> Tensor:
-    """Quadratic pull of the gate toward 0 on visual slots and 1 on language."""
-    target = np.ones(gate.shape[-1])
-    target[:s_v] = 0.0
-    diff = gate - Tensor(target)
-    return (diff * diff).mean() * weight

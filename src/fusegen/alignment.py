@@ -3,8 +3,7 @@
 The fused sequence is mean-pooled over valid rows, projected, and
 L2-normalized; reports go through an embedding mean-pool and projection. The
 InfoNCE loss contrasts each fused vector against all report vectors in the
-batch (negatives over reports only, as printed; a symmetric two-term variant
-is available behind a flag).
+batch (negatives over reports only, as printed).
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ def init_alignment(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     return {
         "aln.pool.w": nn.init_weight(rng, cfg.p, cfg.d_align),
         "aln.pool.b": nn.init_bias(cfg.d_align),
-        "aln.rep.embed": Tensor(rng.normal(0.0, cfg.init_std, size=(cfg.vocab_size, cfg.d_align)),
-                                requires_grad=True),
+        "aln.rep.embed": nn.init_embedding(rng, cfg.vocab_size, cfg.d_align),
         "aln.rep.w": nn.init_weight(rng, cfg.d_align, cfg.d_align),
         "aln.rep.b": nn.init_bias(cfg.d_align),
         "aln.tau.raw": Tensor(np.array([math.log(math.e - 1.0)]), requires_grad=True),  # tau ~ 1
@@ -93,7 +91,7 @@ def embed_report(report_ids: np.ndarray, params: dict,
     return PooledEmbedding(emb=emb, degenerate=degenerate)
 
 
-def info_nce(f_emb: Tensor, r_emb: Tensor, tau: Tensor, symmetric: bool = False) -> Tensor:
+def info_nce(f_emb: Tensor, r_emb: Tensor, tau: Tensor) -> Tensor:
     """Contrastive loss over cosine similarities at temperature tau.
 
     Rows of the similarity matrix index fused vectors, columns index report
@@ -107,8 +105,4 @@ def info_nce(f_emb: Tensor, r_emb: Tensor, tau: Tensor, symmetric: bool = False)
     logits = sim * T.pow_const(tau, -1.0)
     logp = T.log(T.softmax_rows(logits))
     diag = np.arange(n)
-    loss = -logp[diag, diag].mean()
-    if symmetric:
-        logp_t = T.log(T.softmax_rows(logits.swapaxes(-1, -2)))
-        loss = (loss + -logp_t[diag, diag].mean()) * 0.5
-    return loss
+    return -logp[diag, diag].mean()

@@ -211,22 +211,12 @@ def cmd_generate(args) -> int:
 
 def cmd_grad_check(args) -> int:
     mode = args.attn or "softmax"
-    if args.bits == 32:
-        from . import tensor as T
-        T.set_default_dtype(np.float32)
-        module_thr, e2e_thr = 1e-2, 1e-2
-        print("32-bit mode: thresholds loosened to 1e-2")
-    else:
-        module_thr, e2e_thr = 1e-5, 1e-4
     cfg = toy_config(attn_norm=mode, seed=args.seed or 0)
     n_params = ReportModel(cfg).n_parameters()
     if n_params >= 50_000:
         print(f"error: toy config has {n_params} params (>= 50k)", file=sys.stderr)
         return 1
-    results = run_all_checks(mode, seed=args.seed or 0,
-                             module_threshold=module_thr,
-                             end_to_end_threshold=e2e_thr,
-                             corrupt=args.corrupt)
+    results = run_all_checks(mode, seed=args.seed or 0, corrupt=args.corrupt)
     ok = True
     for r in results:
         print(r.line())
@@ -282,7 +272,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_gc = sub.add_parser("grad-check", help="finite-difference verification")
     _add_common(p_gc)
-    p_gc.add_argument("--bits", type=int, choices=[32, 64], default=64)
     p_gc.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p_abl = sub.add_parser("ablate", help="run the component toggle grid")

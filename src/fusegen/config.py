@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
@@ -23,9 +22,7 @@ class ModelConfig:
 
     # image encoder
     image_side: int = 16          # must be divisible by 8
-    image_channels: int = 1
     e_v: int = 32                 # visual channel count E_V
-    pos_init_std: float = 0.4     # grid-cell identity embedding scale
 
     # keyword encoder
     vocab_size: int = 64
@@ -33,34 +30,24 @@ class ModelConfig:
     s_l: int = 4                  # keyword sequence length (padded)
     enc_layers: int = 2
     enc_heads: int = 4
-    use_positional_encoding: bool = True
 
     # fusion
     p: int = 32                   # shared projection dim P
-    h_v: Optional[int] = None     # abstractor hidden dims, default E_V / E_L
-    h_l: Optional[int] = None
-    adaptor_reg_weight: float = 0.0   # pull-to-target weight on the modality gate
 
     # alignment
     d_align: int = 32
-    symmetric_align: bool = False
 
     # decoder
     dec_d: int = 64
     dec_layers: int = 2
     n_q: int = 4
     n_kv: int = 2
-    d_ff: Optional[int] = None    # default: 4d/3 rounded to a multiple of 8
     max_report_len: int = 16
-    rope_base: float = 10000.0
-    rms_eps: float = 1e-5
-    ln_eps: float = 1e-5
 
     # global switches
     attn_norm: str = "softmax"    # "softmax" | "sigmoid"
     dtype: str = "float64"        # "float64" | "float32"
     seed: int = 0
-    init_std: float = 0.08
 
     # ablation toggles
     use_keywords: bool = True
@@ -85,12 +72,6 @@ class ModelConfig:
             raise ConfigError(f"dtype must be float64 or float32, got {self.dtype!r}")
         if (self.use_abstractor or self.use_adaptor) and not self.use_keywords:
             raise ConfigError("abstractor/adaptor require the keyword branch")
-        if self.h_v is None:
-            self.h_v = self.e_v
-        if self.h_l is None:
-            self.h_l = self.e_l
-        if self.d_ff is None:
-            self.d_ff = max(8, int(round(4 * self.dec_d / 3 / 8)) * 8)
 
     @property
     def grid_side(self) -> int:
@@ -104,6 +85,11 @@ class ModelConfig:
     def head_dim(self) -> int:
         return self.dec_d // self.n_q
 
+    @property
+    def d_ff(self) -> int:
+        """SwiGLU hidden width: 4d/3 rounded to a multiple of 8."""
+        return max(8, int(round(4 * self.dec_d / 3 / 8)) * 8)
+
 
 @dataclass
 class TrainConfig:
@@ -112,9 +98,6 @@ class TrainConfig:
     epochs: int = 25
     lambda_align: float = 0.5
     scheduler: str = "warmup_cosine"  # "warmup_cosine" | "constant"
-    warmup_frac: float = 0.05
-    floor_frac: float = 0.10
-    grad_clip: float = 1.0
     seed: int = 0
     n_train: int = 200
     n_eval: int = 64

@@ -10,7 +10,6 @@ learnable.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
@@ -79,19 +78,6 @@ class Vocab:
         return " ".join(self.id_to_word[i] if 0 <= i < len(self.id_to_word) else UNK
                         for i in ids if i not in special)
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.id_to_word, fh)
-
-    @classmethod
-    def load(cls, path: str) -> "Vocab":
-        with open(path, "r", encoding="utf-8") as fh:
-            words = json.load(fh)
-        v = cls.__new__(cls)
-        v.id_to_word = words
-        v.word_to_id = {w: i for i, w in enumerate(words)}
-        return v
-
 
 def build_vocab(corpus: Iterable[str]) -> Vocab:
     """Top words by frequency (ties broken lexicographically), under the cap."""
@@ -158,18 +144,6 @@ def synth_generate(n: int, seed: int, side: int = 16) -> List[SyntheticSample]:
     return [make_sample(seed, i, side) for i in range(n)]
 
 
-def corpus_words() -> List[str]:
-    """Every word the synthetic task can emit; used to build the vocab."""
-    words = set()
-    for pair in BLOB_TYPES:
-        words.update(pair)
-    words.update(ROW_WORDS)
-    words.update(COL_WORDS)
-    for t in _TEMPLATES:
-        words.update(w for w in t.split() if not w.startswith("{"))
-    return sorted(words)
-
-
 def default_vocab() -> Vocab:
     lines = []
     for t in _TEMPLATES:
@@ -222,8 +196,7 @@ def encode_keyword_string(vocab: Vocab, keywords: str, s_l: int,
 
 
 def make_batch(samples: Sequence[SyntheticSample], vocab: Vocab, s_l: int,
-               max_len: int, keyword_dropout: float = 0.0,
-               drop_rng: Optional[np.random.Generator] = None) -> Batch:
+               max_len: int) -> Batch:
     n = len(samples)
     if n == 0:
         raise ValueError("batch must be nonempty")
@@ -237,8 +210,7 @@ def make_batch(samples: Sequence[SyntheticSample], vocab: Vocab, s_l: int,
     rep_ids = np.zeros((n, t), dtype=np.int64)
     rep_content = np.zeros((n, t), dtype=bool)
     for i, s in enumerate(samples):
-        kw_ids[i], kw_mask[i] = encode_keyword_string(vocab, s.keywords, s_l,
-                                                      drop_rng, keyword_dropout)
+        kw_ids[i], kw_mask[i] = encode_keyword_string(vocab, s.keywords, s_l)
         toks = vocab.encode(s.report)[:max_len]
         seq_in = [vocab.bos_id] + toks
         seq_tgt = toks + [vocab.eos_id]
@@ -248,31 +220,3 @@ def make_batch(samples: Sequence[SyntheticSample], vocab: Vocab, s_l: int,
         rep_ids[i, : len(toks)] = toks
         rep_content[i, : len(toks)] = True
     return Batch(images, kw_ids, kw_mask, rep_in, rep_tgt, rep_mask, rep_ids, rep_content)
-
-
-# ---------------------------------------------------------------------
-# dataset files: line-delimited JSON records
-# ---------------------------------------------------------------------
-
-def save_dataset(samples: Sequence[SyntheticSample], seed: int, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, s in enumerate(samples):
-            fh.write(json.dumps({"seed": [seed, i], "keywords": s.keywords,
-                                 "report": s.report}) + "\n")
-
-
-def load_dataset(path: str, side: int = 16) -> List[SyntheticSample]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            base, idx = rec["seed"]
-            s = make_sample(base, idx, side)
-            # text fields are authoritative; image re-rendered from the seed
-            s.keywords = rec["keywords"]
-            s.report = rec["report"]
-            out.append(s)
-    return out

@@ -27,8 +27,7 @@ from .tensor import Tensor
 def init_decoder(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     d, hd = cfg.dec_d, cfg.head_dim
     params = {
-        "dec.embed": Tensor(rng.normal(0.0, cfg.init_std, size=(cfg.vocab_size, d)),
-                            requires_grad=True),
+        "dec.embed": nn.init_embedding(rng, cfg.vocab_size, d),
         "dec.mem.w": nn.init_weight(rng, cfg.p, d),
         "dec.mem.b": nn.init_bias(d),
         "dec.final_rms.g": Tensor(np.ones(d), requires_grad=True),
@@ -55,18 +54,21 @@ def init_decoder(cfg: ModelConfig, rng: np.random.Generator) -> dict:
 # rotary positions
 # ---------------------------------------------------------------------
 
-def rope_apply(x: Tensor, start_pos: int = 0, base: float = 10000.0) -> Tensor:
+ROPE_BASE = 10000.0
+
+
+def rope_apply(x: Tensor, start_pos: int = 0) -> Tensor:
     """Rotate adjacent pairs of the trailing axis by position-dependent angles.
 
     x: (..., S, head_dim) with even head_dim; position m = start_pos + row,
-    pair k rotates by m * base**(-2k/head_dim).
+    pair k rotates by m * ROPE_BASE**(-2k/head_dim).
     """
     hd = x.shape[-1]
     if hd % 2 != 0:
         raise ConfigError(f"head_dim must be even for rotary embeddings, got {hd}")
     s = x.shape[-2]
     pos = np.arange(start_pos, start_pos + s, dtype=float)[:, None]
-    theta = base ** (-2.0 * np.arange(hd // 2, dtype=float) / hd)[None, :]
+    theta = ROPE_BASE ** (-2.0 * np.arange(hd // 2, dtype=float) / hd)[None, :]
     ang = pos * theta                      # (S, hd/2)
     cos, sin = Tensor(np.cos(ang)), Tensor(np.sin(ang))
     xr = x[..., 0::2]
@@ -110,11 +112,10 @@ def gqa_attention(
     layer: int,
     cache: Optional[KVCache] = None,
     start_pos: int = 0,
-    causal: bool = True,
 ) -> Tensor:
-    """Grouped-query self-attention; each group of n_q/n_kv query heads shares
-    one KV head. With a cache, x must be a single new position and the fresh
-    K/V are appended."""
+    """Causal grouped-query self-attention; each group of n_q/n_kv query heads
+    shares one KV head. With a cache, x must be a single new position and the
+    fresh K/V are appended."""
     pre = f"dec.layer{layer}.sa"
     n, tq, d = x.shape
     hd, n_q, n_kv = cfg.head_dim, cfg.n_q, cfg.n_kv
@@ -123,8 +124,8 @@ def gqa_attention(
     q = T.matmul(x, params[f"{pre}.w_q"]).reshape(n, tq, n_q, hd).transpose(0, 2, 1, 3)
     k = T.matmul(x, params[f"{pre}.w_k"]).reshape(n, tq, n_kv, hd).transpose(0, 2, 1, 3)
     v = T.matmul(x, params[f"{pre}.w_v"]).reshape(n, tq, n_kv, hd).transpose(0, 2, 1, 3)
-    q = rope_apply(q, start_pos, cfg.rope_base)
-    k = rope_apply(k, start_pos, cfg.rope_base)
+    q = rope_apply(q, start_pos)
+    k = rope_apply(k, start_pos)
 
     if cache is not None:
         if n != 1:
@@ -141,7 +142,7 @@ def gqa_attention(
     vg = v.reshape(n, n_kv, 1, tk, hd)
     logits = T.matmul(q, kg.transpose(0, 1, 2, 4, 3)) * (1.0 / math.sqrt(hd))
     km = None
-    if causal and cache is None:
+    if cache is None:
         km = ~np.triu(np.ones((tq, tk), dtype=bool), k=1)  # True = may attend
     w = nn.attn_normalize(logits, cfg.attn_norm, km)
     out = T.matmul(w, vg).reshape(n, n_q, tq, hd).transpose(0, 2, 1, 3).reshape(n, tq, n_q * hd)
@@ -202,11 +203,11 @@ def decoder_layer(
     mem_mask: Optional[np.ndarray] = None,
 ) -> Tensor:
     pre = f"dec.layer{layer}"
-    h = T.rms_norm(x, params[f"{pre}.rms1.g"], cfg.rms_eps)
+    h = T.rms_norm(x, params[f"{pre}.rms1.g"])
     x = x + gqa_attention(h, params, cfg, layer, cache=cache, start_pos=start_pos)
-    h = T.rms_norm(x, params[f"{pre}.rms2.g"], cfg.rms_eps)
+    h = T.rms_norm(x, params[f"{pre}.rms2.g"])
     x = x + cross_attention(h, memory, params, cfg, layer, mem_mask=mem_mask)
-    h = T.rms_norm(x, params[f"{pre}.rms3.g"], cfg.rms_eps)
+    h = T.rms_norm(x, params[f"{pre}.rms3.g"])
     x = x + swiglu_ffn(h, params[f"{pre}.ffn.w1"], params[f"{pre}.ffn.w2"], params[f"{pre}.ffn.w3"])
     return x
 
@@ -228,7 +229,7 @@ def decoder_forward(
     x = T.embedding(params["dec.embed"], ids)
     for l in range(cfg.dec_layers):
         x = decoder_layer(x, memory, params, cfg, l, mem_mask=mem_mask)
-    x = T.rms_norm(x, params["dec.final_rms.g"], cfg.rms_eps)
+    x = T.rms_norm(x, params["dec.final_rms.g"])
     return T.matmul(x, params["dec.head.w"])
 
 
@@ -246,7 +247,7 @@ def decode_step(
     for l in range(cfg.dec_layers):
         x = decoder_layer(x, memory, params, cfg, l, cache=cache, start_pos=pos,
                           mem_mask=mem_mask)
-    x = T.rms_norm(x, params["dec.final_rms.g"], cfg.rms_eps)
+    x = T.rms_norm(x, params["dec.final_rms.g"])
     return T.matmul(x, params["dec.head.w"]).data[0, 0]
 
 

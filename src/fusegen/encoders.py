@@ -10,7 +10,6 @@ encoder over [SEP]-joined keyword tokens.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,8 +38,7 @@ class KeywordEmbeddings:
 # ---------------------------------------------------------------------
 
 def init_image_encoder(cfg: ModelConfig, rng: np.random.Generator) -> dict:
-    c = cfg.image_channels
-    chans = [c, max(4, cfg.e_v // 4), max(4, cfg.e_v // 2), cfg.e_v]
+    chans = [1, max(4, cfg.e_v // 4), max(4, cfg.e_v // 2), cfg.e_v]  # grey-scale input
     params = {}
     for i in range(3):
         params[f"img.block{i}.w"] = nn.init_weight(rng, 4 * chans[i], chans[i + 1])
@@ -49,8 +47,7 @@ def init_image_encoder(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     params["img.ctx.w_proj"] = nn.init_weight(rng, cfg.e_v, cfg.e_v)
     # grid cells need an identity of their own: downstream attention is
     # permutation-invariant over memory rows
-    params["img.pos"] = Tensor(rng.normal(0.0, cfg.pos_init_std, size=(cfg.s_v, cfg.e_v)),
-                               requires_grad=True)
+    params["img.pos"] = nn.init_embedding(rng, cfg.s_v, cfg.e_v, std=0.4)
     return params
 
 
@@ -88,8 +85,7 @@ def encode_image(images, params: dict, cfg: ModelConfig) -> VisualFeatures:
 
 def init_keyword_encoder(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     d = cfg.e_l
-    params = {"kw.embed": Tensor(rng.normal(0.0, cfg.init_std, size=(cfg.vocab_size, d)),
-                                 requires_grad=True)}
+    params = {"kw.embed": nn.init_embedding(rng, cfg.vocab_size, d)}
     for l in range(cfg.enc_layers):
         for name, w in nn.init_mha(rng, d).items():
             params[f"kw.layer{l}.attn.{name}"] = w
@@ -124,14 +120,12 @@ def encode_keywords(
     if mask is None:
         mask = np.ones((n, s), dtype=bool)
     mask = np.asarray(mask, dtype=bool)
-    x = T.embedding(params["kw.embed"], ids)
-    if cfg.use_positional_encoding:
-        x = x + Tensor(nn.sinusoidal_positions(s, cfg.e_l))
+    x = T.embedding(params["kw.embed"], ids) + Tensor(nn.sinusoidal_positions(s, cfg.e_l))
     for l in range(cfg.enc_layers):
         attn = {k: params[f"kw.layer{l}.attn.{k}"] for k in ("w_q", "w_k", "w_v", "w_o")}
         h = nn.mha(x, attn, cfg.enc_heads, mode=cfg.attn_norm, key_mask=mask)
-        x = T.layer_norm(x + h, params[f"kw.layer{l}.ln1.g"], params[f"kw.layer{l}.ln1.b"], cfg.ln_eps)
+        x = T.layer_norm(x + h, params[f"kw.layer{l}.ln1.g"], params[f"kw.layer{l}.ln1.b"])
         f = T.gelu(nn.linear(x, params[f"kw.layer{l}.ffn.w1"], params[f"kw.layer{l}.ffn.b1"]))
         f = nn.linear(f, params[f"kw.layer{l}.ffn.w2"], params[f"kw.layer{l}.ffn.b2"])
-        x = T.layer_norm(x + f, params[f"kw.layer{l}.ln2.g"], params[f"kw.layer{l}.ln2.b"], cfg.ln_eps)
+        x = T.layer_norm(x + f, params[f"kw.layer{l}.ln2.g"], params[f"kw.layer{l}.ln2.b"])
     return KeywordEmbeddings(l_e=x, mask=mask)

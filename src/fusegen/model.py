@@ -7,7 +7,6 @@ which groups exist at all; a disabled module contributes no parameters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -28,10 +27,6 @@ from .tensor import Tensor
 class FusionState:
     v_e: Tensor
     l_e: Optional[Tensor]
-    v_proj: Optional[Tensor]
-    l_proj: Optional[Tensor]
-    v2l: Optional[Tensor]
-    l2v: Optional[Tensor]
     f1: Optional[Tensor]
     f2: Optional[Tensor]
     gate: Optional[Tensor]
@@ -74,9 +69,6 @@ class ReportModel:
         self.params = params
 
     # -- parameter plumbing -------------------------------------------
-    def named_parameters(self) -> Dict[str, Tensor]:
-        return self.params
-
     def n_parameters(self) -> int:
         return sum(p.size for p in self.params.values())
 
@@ -99,13 +91,11 @@ class ReportModel:
         seq_valid = (np.concatenate([vis_valid, kw_mask], axis=1)
                      if l_e is not None else vis_valid)
 
-        v_proj = l_proj = v2l = l2v = f1 = f2 = gate = None
+        f1 = f2 = gate = None
         parts: List[Tensor] = []
         masks: List[np.ndarray] = []
         if cfg.use_abstractor:
-            out = abs_mod.abstractor_forward(v_e, l_e, self.params, cfg, l_mask=kw_mask)
-            v_proj, l_proj = out.v_proj, out.l_proj
-            v2l, l2v, f1 = out.v2l, out.l2v, out.f1
+            f1 = abs_mod.abstractor_forward(v_e, l_e, self.params, cfg, l_mask=kw_mask).f1
             parts.append(f1)
             masks.append(seq_valid)
         if cfg.use_adaptor:
@@ -122,8 +112,7 @@ class ReportModel:
             masks.append(seq_valid)
         f = parts[0] if len(parts) == 1 else T.concat(parts, axis=-2)
         row_mask = masks[0] if len(masks) == 1 else np.concatenate(masks, axis=1)
-        return FusionState(v_e=v_e, l_e=l_e, v_proj=v_proj, l_proj=l_proj,
-                           v2l=v2l, l2v=l2v, f1=f1, f2=f2, gate=gate,
+        return FusionState(v_e=v_e, l_e=l_e, f1=f1, f2=f2, gate=gate,
                            f=f, f_row_mask=row_mask)
 
     def _training_memory(self, state: FusionState, rep_in: np.ndarray,
@@ -154,8 +143,7 @@ class ReportModel:
             r_emb = aln_mod.embed_report(batch.rep_ids, self.params,
                                          mask=batch.rep_content_mask)
             tau = aln_mod.temperature(self.params)
-            l_align = aln_mod.info_nce(f_emb.emb, r_emb.emb, tau,
-                                       symmetric=cfg.symmetric_align)
+            l_align = aln_mod.info_nce(f_emb.emb, r_emb.emb, tau)
 
         rep_in_valid = np.concatenate(
             [np.ones((len(batch), 1), dtype=bool), batch.rep_mask[:, :-1]], axis=1)
@@ -165,9 +153,6 @@ class ReportModel:
         l_ce, l_ce_tok = dec_mod.cross_entropy(logits, batch.rep_tgt, batch.rep_mask)
 
         total = l_ce + l_align * lambda_align
-        if cfg.use_adaptor and cfg.adaptor_reg_weight > 0.0:
-            total = total + adp_mod.indicator_regularizer(
-                state.gate, cfg.s_v, cfg.adaptor_reg_weight)
         for name, val in (("l_ce", l_ce), ("l_align", l_align), ("l_total", total)):
             if not np.isfinite(val.data).all():
                 raise FloatingPointError(f"non-finite loss in {name}")
@@ -181,8 +166,7 @@ class ReportModel:
     def generate(self, image: np.ndarray, kw_ids: Optional[np.ndarray],
                  kw_mask: Optional[np.ndarray], bos_id: int, eos_id: int,
                  max_len: int, mode: str = "greedy",
-                 temperature: float = 1.0, seed: int = 0,
-                 use_cache: bool = True) -> List[int]:
+                 temperature: float = 1.0, seed: int = 0) -> List[int]:
         """Autoregressive decode for a single sample; returns content ids."""
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
@@ -197,45 +181,26 @@ class ReportModel:
                 kw_mask = None if kw_mask is None else np.asarray(kw_mask)[None]
         state = self.fuse(images, kw_ids if cfg.use_keywords else None,
                           kw_mask if cfg.use_keywords else None)
-        mem_f = dec_mod.project_memory(state.f, self.params).detach()
         embed = self.params["dec.embed"]
         rng = np.random.default_rng(seed)
         tokens: List[int] = []
         # the memory grows with the embeddings of already-consumed tokens,
         # mirroring the causally masked report segment seen in training
-        if use_cache:
-            cache = dec_mod.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim)
-            memory = mem_f
-            mem_mask = state.f_row_mask[:, None, :]
-            cur = bos_id
-            for pos in range(max_len):
-                row = Tensor(embed.data[np.array([[cur]])])
-                memory = T.concat([memory, row], axis=-2)
-                mem_mask = np.concatenate(
-                    [mem_mask, np.ones((1, 1, 1), dtype=bool)], axis=2)
-                logits = dec_mod.decode_step(cur, pos, memory, self.params, cfg,
-                                             cache, mem_mask=mem_mask)
-                cur = self._pick(logits, mode, temperature, rng)
-                if cur == eos_id:
-                    break
-                tokens.append(cur)
-        else:
-            seq = [bos_id]
-            s_f = mem_f.shape[1]
-            for _ in range(max_len):
-                rep = np.array([seq])
-                t = rep.shape[1]
-                memory = T.concat([mem_f, Tensor(embed.data[rep])], axis=-2)
-                mask = np.zeros((1, t, s_f + t), dtype=bool)
-                mask[:, :, :s_f] = state.f_row_mask[:, None, :]
-                mask[:, :, s_f:] = ~np.triu(np.ones((t, t), dtype=bool), k=1)
-                logits = dec_mod.decoder_forward(rep, memory, self.params,
-                                                 cfg, mem_mask=mask)
-                cur = self._pick(logits.data[0, -1], mode, temperature, rng)
-                if cur == eos_id:
-                    break
-                tokens.append(cur)
-                seq.append(cur)
+        cache = dec_mod.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim)
+        memory = dec_mod.project_memory(state.f, self.params).detach()
+        mem_mask = state.f_row_mask[:, None, :]
+        cur = bos_id
+        for pos in range(max_len):
+            row = Tensor(embed.data[np.array([[cur]])])
+            memory = T.concat([memory, row], axis=-2)
+            mem_mask = np.concatenate(
+                [mem_mask, np.ones((1, 1, 1), dtype=bool)], axis=2)
+            logits = dec_mod.decode_step(cur, pos, memory, self.params, cfg,
+                                         cache, mem_mask=mem_mask)
+            cur = self._pick(logits, mode, temperature, rng)
+            if cur == eos_id:
+                break
+            tokens.append(cur)
         return tokens
 
     @staticmethod

@@ -11,10 +11,14 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-def init_weight(rng: np.random.Generator, n_in: int, n_out: int, std: Optional[float] = None) -> Tensor:
-    if std is None:
-        std = math.sqrt(2.0 / (n_in + n_out))
+def init_weight(rng: np.random.Generator, n_in: int, n_out: int) -> Tensor:
+    std = math.sqrt(2.0 / (n_in + n_out))
     return Tensor(rng.normal(0.0, std, size=(n_in, n_out)), requires_grad=True)
+
+
+def init_embedding(rng: np.random.Generator, rows: int, cols: int,
+                   std: float = 0.08) -> Tensor:
+    return Tensor(rng.normal(0.0, std, size=(rows, cols)), requires_grad=True)
 
 
 def init_bias(n: int) -> Tensor:
@@ -45,12 +49,12 @@ def attn_normalize(logits: Tensor, mode: str, key_mask: Optional[np.ndarray] = N
     raise ValueError(f"unknown attention normalization {mode!r}")
 
 
-def init_mha(rng: np.random.Generator, d: int, std: Optional[float] = None) -> dict:
+def init_mha(rng: np.random.Generator, d: int) -> dict:
     return {
-        "w_q": init_weight(rng, d, d, std),
-        "w_k": init_weight(rng, d, d, std),
-        "w_v": init_weight(rng, d, d, std),
-        "w_o": init_weight(rng, d, d, std),
+        "w_q": init_weight(rng, d, d),
+        "w_k": init_weight(rng, d, d),
+        "w_v": init_weight(rng, d, d),
+        "w_o": init_weight(rng, d, d),
     }
 
 
@@ -80,13 +84,6 @@ def mha(
     ``key_mask``: (N, S) boolean, True = valid position. Masked positions get
     -inf logits under softmax and exactly zero weight under sigmoid.
     """
-    if x.ndim == 2:
-        out = mha(x.reshape(1, *x.shape), params, n_heads, mode,
-                  None if key_mask is None else np.asarray(key_mask)[None, :],
-                  return_weights)
-        if return_weights:
-            return out[0][0], out[1][0]
-        return out[0]
     n, s, d = x.shape
     if d % n_heads != 0:
         raise T.ShapeError(f"model dim {d} not divisible by {n_heads} heads")

@@ -10,7 +10,7 @@ same graph raises.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -20,8 +20,6 @@ __all__ = [
     "NonFiniteError",
     "set_default_dtype",
     "get_default_dtype",
-    "tensor",
-    "zeros",
     "concat",
     "matmul",
     "sigmoid",
@@ -33,6 +31,7 @@ __all__ = [
     "embedding",
     "mask_fill",
     "grad_check",
+    "grad_check_params",
 ]
 
 _DEFAULT_DTYPE = np.float64
@@ -181,14 +180,6 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=_DEFAULT_DTYPE))
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
 def _toposort(root: Tensor) -> list:
     order: list = []
     seen: set = set()
@@ -210,7 +201,11 @@ def _toposort(root: Tensor) -> list:
 
 
 def _needs_tape(*tensors: Tensor) -> bool:
-    return any(t.requires_grad or t._backward is not None for t in tensors)
+    """True when any operand is a leaf that wants a gradient or lies on the tape."""
+    for t in tensors:
+        if t.requires_grad or t._backward is not None:
+            return True
+    return False
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -244,9 +239,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad or a._backward is not None:
+        if _needs_tape(a):
             a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad or b._backward is not None:
+        if _needs_tape(b):
             b._accum(_unbroadcast(g, b.shape))
 
     return _make(data, (a, b), backward)
@@ -256,9 +251,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
 
     def backward(g):
-        if a.requires_grad or a._backward is not None:
+        if _needs_tape(a):
             a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad or b._backward is not None:
+        if _needs_tape(b):
             b._accum(_unbroadcast(-g, b.shape))
 
     return _make(data, (a, b), backward)
@@ -268,9 +263,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        if a.requires_grad or a._backward is not None:
+        if _needs_tape(a):
             a._accum(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad or b._backward is not None:
+        if _needs_tape(b):
             b._accum(_unbroadcast(g * a.data, b.shape))
 
     return _make(data, (a, b), backward)
@@ -280,9 +275,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     data = a.data / b.data
 
     def backward(g):
-        if a.requires_grad or a._backward is not None:
+        if _needs_tape(a):
             a._accum(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad or b._backward is not None:
+        if _needs_tape(b):
             b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make(data, (a, b), backward)
@@ -397,10 +392,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = np.matmul(a.data, b.data)
 
     def backward(g):
-        if a.requires_grad or a._backward is not None:
+        if _needs_tape(a):
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             a._accum(_unbroadcast(ga, a.shape))
-        if b.requires_grad or b._backward is not None:
+        if _needs_tape(b):
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b._accum(_unbroadcast(gb, b.shape))
 
@@ -457,7 +452,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad or t._backward is not None:
+            if _needs_tape(t):
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
                 t._accum(g[tuple(idx)])
@@ -552,28 +547,52 @@ def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
     ``f`` must map a Tensor to a scalar Tensor. Relative error per coordinate
     is |analytic - cd| / max(|analytic|, |cd|, 1e-12).
     """
+    xt = Tensor(x.data.copy(), requires_grad=True)
+    return grad_check_params(lambda: f(xt), {"x": xt}, h)
+
+
+def grad_check_params(
+    loss_fn: Callable[[], Tensor],
+    params: Dict[str, Tensor],
+    h: float = 1e-5,
+    sample_per_tensor: Optional[int] = None,
+    rng: Optional[np.random.Generator] = None,
+    corrupt: bool = False,
+) -> float:
+    """Max relative error of analytic vs central-difference parameter grads.
+
+    ``loss_fn`` must be a deterministic closure over ``params``; each probe
+    perturbs one coordinate of a parameter in place. With
+    ``sample_per_tensor`` set, only that many coordinates per tensor are
+    probed (chosen by ``rng``). ``corrupt`` deliberately skews the analytic
+    gradient; it exists as a negative control.
+    """
     if not (1e-7 <= h <= 1e-3):
         raise ValueError(f"h={h} outside [1e-7, 1e-3]")
-    xt = Tensor(x.data.copy(), requires_grad=True)
-    out = f(xt)
-    if out.size != 1:
-        raise ShapeError("grad_check: f must be scalar-valued")
-    out.backward()
-    analytic = (xt.grad if xt.grad is not None else np.zeros_like(xt.data)).ravel()
-
-    base = x.data.copy()
-    numeric = np.zeros(base.size)
-    flat = base.ravel()
-    for i in range(base.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(Tensor(base.copy())).item()
-        flat[i] = orig - h
-        fm = f(Tensor(base.copy())).item()
-        flat[i] = orig
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise NonFiniteError(f"grad_check: non-finite value at coordinate {i}")
-        numeric[i] = (fp - fm) / (2.0 * h)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    for p in params.values():
+        p.grad = None
+    loss_fn().backward()
+    rng = rng or np.random.default_rng(0)
+    worst = 0.0
+    for name, p in params.items():
+        g = (p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
+        if corrupt:
+            g = g + 0.5
+        flat = p.data.ravel()
+        if sample_per_tensor is None or flat.size <= sample_per_tensor:
+            idxs: Iterable[int] = range(flat.size)
+        else:
+            idxs = rng.choice(flat.size, size=sample_per_tensor, replace=False)
+        for i in idxs:
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = loss_fn().item()
+            flat[i] = orig - h
+            fm = loss_fn().item()
+            flat[i] = orig
+            if not (math.isfinite(fp) and math.isfinite(fm)):
+                raise NonFiniteError(f"grad_check: non-finite loss probing {name}[{i}]")
+            cd = (fp - fm) / (2.0 * h)
+            rel = abs(g[i] - cd) / max(abs(g[i]), abs(cd), 1e-12)
+            worst = max(worst, rel)
+    return worst

@@ -15,10 +15,14 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .config import ModelConfig, TrainConfig, config_from_dict, config_to_dict
+from .config import TrainConfig, config_from_dict, config_to_dict
 from .data import Batch, SyntheticSample, Vocab, make_batch
 from .model import LossReport, ReportModel
 from .tensor import Tensor
+
+WARMUP_FRAC = 0.05
+FLOOR_FRAC = 0.10
+GRAD_CLIP = 1.0
 
 
 # ---------------------------------------------------------------------
@@ -57,10 +61,10 @@ def lr_schedule(step: int, config: TrainConfig, total_steps: int) -> float:
     """Linear warmup over the first 5% of steps, cosine decay to 10% of peak."""
     if config.scheduler == "constant":
         return config.lr
-    warmup = max(1, int(round(config.warmup_frac * total_steps)))
+    warmup = max(1, int(round(WARMUP_FRAC * total_steps)))
     if step < warmup:
         return config.lr * (step + 1) / warmup
-    floor = config.floor_frac * config.lr
+    floor = FLOOR_FRAC * config.lr
     if total_steps <= warmup:
         return config.lr
     frac = (step - warmup) / (total_steps - warmup)
@@ -89,7 +93,7 @@ def train_step(model: ReportModel, batch: Batch, state: AdamState,
     report = model.losses(batch, config.lambda_align)
     report.total.backward()
     grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
-    report.grad_norm = clip_global_norm(grads, config.grad_clip)
+    report.grad_norm = clip_global_norm(grads, GRAD_CLIP)
     adam_update(model.params, grads, state, config.lr if lr is None else lr)
     report.total = None  # graph consumed
     return report
@@ -196,7 +200,11 @@ def load_checkpoint(path: str):
         raise CheckpointError(f"unsupported checkpoint version {ver}")
     blob_len, = struct.unpack("<I", _read(buf, off, 4)[0]); off += 4
     blob, off = _read(buf, off, blob_len)
-    meta = json.loads(blob.decode("utf-8"))
+    try:
+        meta = json.loads(blob.decode("utf-8"))
+        cfg_dict, adam_step = meta["config"], meta["adam_step"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"malformed checkpoint metadata: {exc!r}") from exc
     n_records, = struct.unpack("<I", _read(buf, off, 4)[0]); off += 4
 
     tensors: Dict[str, np.ndarray] = {}
@@ -205,13 +213,15 @@ def load_checkpoint(path: str):
         name = _read(buf, off, name_len)[0].decode("utf-8"); off += name_len
         tag, rank = struct.unpack("<BB", _read(buf, off, 2)[0]); off += 2
         shape = struct.unpack(f"<{rank}I", _read(buf, off, 4 * rank)[0]); off += 4 * rank
-        dtype = _TAG_DTYPES[tag]
+        dtype = _TAG_DTYPES.get(tag)
+        if dtype is None:
+            raise CheckpointError(f"unknown dtype tag {tag} for {name}")
         nbytes = int(np.prod(shape)) * dtype.itemsize if rank else dtype.itemsize
         payload, off = _read(buf, off, nbytes)
         tensors[name] = np.frombuffer(payload, dtype=dtype.newbyteorder("<")) \
             .astype(dtype).reshape(shape)
 
-    model_cfg, train_cfg = config_from_dict(meta["config"])
+    model_cfg, train_cfg = config_from_dict(cfg_dict)
     model = ReportModel(model_cfg)
     for name, p in model.params.items():
         if name not in tensors:
@@ -219,7 +229,7 @@ def load_checkpoint(path: str):
         if tensors[name].shape != p.data.shape:
             raise CheckpointError(f"shape mismatch for {name}")
         p.data = tensors[name].copy()
-    state = AdamState(step=meta["adam_step"])
+    state = AdamState(step=adam_step)
     for name in model.params:
         mk, vk = f"adam.m.{name}", f"adam.v.{name}"
         if mk in tensors:

@@ -7,9 +7,8 @@ compares against central differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from . import decoder as dec_mod
 from . import data as data_mod
 from . import nn
 from . import tensor as T
-from .config import ModelConfig, TrainConfig
+from .config import ModelConfig
 from .model import ReportModel
 from .tensor import Tensor
 
@@ -38,50 +37,6 @@ class CheckResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status}  {self.name:<28s} rel_err={self.max_rel_err:.3e} (< {self.threshold:.0e})"
-
-
-def grad_check_params(
-    loss_fn: Callable[[], Tensor],
-    params: Dict[str, Tensor],
-    h: float = 1e-5,
-    sample_per_tensor: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-    corrupt: bool = False,
-) -> float:
-    """Max relative error of analytic vs central-difference parameter grads.
-
-    ``loss_fn`` must be a deterministic closure over ``params``. With
-    ``sample_per_tensor`` set, only that many coordinates per tensor are
-    probed (chosen by ``rng``). ``corrupt`` deliberately skews the analytic
-    gradient; it exists as a negative control.
-    """
-    for p in params.values():
-        p.grad = None
-    loss_fn().backward()
-    rng = rng or np.random.default_rng(0)
-    worst = 0.0
-    for name, p in params.items():
-        g = (p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
-        if corrupt:
-            g = g + 0.5
-        flat = p.data.ravel()
-        if sample_per_tensor is None or flat.size <= sample_per_tensor:
-            idxs: Iterable[int] = range(flat.size)
-        else:
-            idxs = rng.choice(flat.size, size=sample_per_tensor, replace=False)
-        for i in idxs:
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = loss_fn().item()
-            flat[i] = orig - h
-            fm = loss_fn().item()
-            flat[i] = orig
-            if not (math.isfinite(fp) and math.isfinite(fm)):
-                raise T.NonFiniteError(f"non-finite loss probing {name}[{i}]")
-            cd = (fp - fm) / (2.0 * h)
-            rel = abs(g[i] - cd) / max(abs(g[i]), abs(cd), 1e-12)
-            worst = max(worst, rel)
-    return worst
 
 
 def toy_config(attn_norm: str = "softmax", seed: int = 0, **overrides) -> ModelConfig:
@@ -188,9 +143,9 @@ def check_end_to_end(mode: str, seed: int = 0, lambda_align: float = 0.5,
         return model.losses(batch, lambda_align).total
 
     rng = np.random.default_rng(seed)
-    return grad_check_params(loss_fn, model.params, h=1e-5,
-                             sample_per_tensor=sample_per_tensor, rng=rng,
-                             corrupt=corrupt)
+    return T.grad_check_params(loss_fn, model.params, h=1e-5,
+                               sample_per_tensor=sample_per_tensor, rng=rng,
+                               corrupt=corrupt)
 
 
 def run_all_checks(mode: str = "softmax", seed: int = 0,

@@ -118,16 +118,6 @@ def test_info_nce_orthonormal_three_way():
     assert loss.item() == pytest.approx(expect, abs=1e-9)
 
 
-def test_info_nce_symmetric_variant_averages_both_directions():
-    f, _ = AL.l2_normalize(Tensor(RNG.normal(0, 1, (4, 6))))
-    r, _ = AL.l2_normalize(Tensor(RNG.normal(0, 1, (4, 6))))
-    tau = Tensor(np.array([0.5]))
-    a = AL.info_nce(Tensor(f.data), Tensor(r.data), tau).item()
-    b = AL.info_nce(Tensor(r.data), Tensor(f.data), tau).item()
-    s = AL.info_nce(Tensor(f.data), Tensor(r.data), tau, symmetric=True).item()
-    assert s == pytest.approx(0.5 * (a + b), abs=1e-12)
-
-
 def test_info_nce_shape_mismatch_raises():
     with pytest.raises(ShapeError):
         AL.info_nce(Tensor(np.eye(3)), Tensor(np.eye(4)), Tensor(np.array([1.0])))

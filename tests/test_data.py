@@ -42,15 +42,6 @@ def test_decode_tolerates_out_of_range_ids():
     assert v.decode([len(v) + 3]) == D.UNK
 
 
-def test_vocab_save_load(tmp_path):
-    v = D.default_vocab()
-    p = str(tmp_path / "vocab.json")
-    v.save(p)
-    w = D.Vocab.load(p)
-    assert w.id_to_word == v.id_to_word
-    assert w.word_to_id == v.word_to_id
-
-
 def test_vocab_size_cap():
     with pytest.raises(ValueError):
         D.Vocab([f"w{i}" for i in range(D.MAX_VOCAB)])
@@ -172,19 +163,3 @@ def test_make_batch_truncates_to_max_len():
 def test_make_batch_rejects_empty():
     with pytest.raises(ValueError):
         D.make_batch([], D.default_vocab(), s_l=4, max_len=5)
-
-
-# ---------------------------------------------------------------------
-# dataset files
-# ---------------------------------------------------------------------
-
-def test_dataset_round_trip(tmp_path):
-    samples = D.synth_generate(5, seed=9, side=16)
-    p = str(tmp_path / "data.jsonl")
-    D.save_dataset(samples, seed=9, path=p)
-    loaded = D.load_dataset(p, side=16)
-    assert len(loaded) == 5
-    for a, b in zip(samples, loaded):
-        assert a.keywords == b.keywords
-        assert a.report == b.report
-        np.testing.assert_array_equal(a.image, b.image)

@@ -136,16 +136,6 @@ def test_keyword_encoder_rejects_overlong():
         encoders.encode_keywords(np.zeros((1, cfg.s_l + 1), dtype=int), params, cfg)
 
 
-def test_positional_encoding_toggle_changes_output():
-    cfg_on = toy_config()
-    cfg_off = toy_config(use_positional_encoding=False)
-    params = _kw_params(cfg_on)
-    ids = np.array([[5, 6, 7, 8]])
-    a = encoders.encode_keywords(ids, params, cfg_on).l_e.data
-    b = encoders.encode_keywords(ids, params, cfg_off).l_e.data
-    assert not np.allclose(a, b)
-
-
 def test_keyword_encoder_permutation_sensitivity():
     # with positions on, token order matters
     cfg = toy_config()

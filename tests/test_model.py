@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from fusegen import data as D
+from fusegen import decoder as DEC
+from fusegen import tensor as T
 from fusegen.config import ConfigError
 from fusegen.model import ReportModel
+from fusegen.tensor import Tensor
 from fusegen.verify import toy_config
 
 RNG = np.random.default_rng(37)
@@ -88,8 +91,6 @@ def test_alignment_disabled_gives_zero_align_loss():
 
 def test_training_memory_report_segment_is_causal():
     """Changing report tokens after position t must not change logits <= t."""
-    from fusegen import decoder as DEC
-
     cfg = toy_config()
     model = ReportModel(cfg)
     vocab, _, batch = _batch(cfg, n=1)
@@ -109,16 +110,40 @@ def test_training_memory_report_segment_is_causal():
     np.testing.assert_allclose(out[: t + 1], base[: t + 1], atol=1e-12)
 
 
+def _greedy_uncached(model, image, kw_ids, kw_mask, bos_id, eos_id, max_len):
+    """Reference decode without a KV cache: every step re-runs the
+    teacher-forced decoder over the whole prefix, with the memory holding the
+    fused rows plus the causally masked prefix embeddings."""
+    state = model.fuse(image[None], kw_ids[None], kw_mask[None])
+    mem_f = DEC.project_memory(state.f, model.params).detach()
+    embed = model.params["dec.embed"]
+    s_f = mem_f.shape[1]
+    seq, tokens = [bos_id], []
+    for _ in range(max_len):
+        rep = np.array([seq])
+        t = rep.shape[1]
+        memory = T.concat([mem_f, Tensor(embed.data[rep])], axis=-2)
+        mask = np.zeros((1, t, s_f + t), dtype=bool)
+        mask[:, :, :s_f] = state.f_row_mask[:, None, :]
+        mask[:, :, s_f:] = ~np.triu(np.ones((t, t), dtype=bool), k=1)
+        logits = DEC.decoder_forward(rep, memory, model.params, model.cfg, mem_mask=mask)
+        cur = int(np.argmax(logits.data[0, -1]))
+        if cur == eos_id:
+            break
+        tokens.append(cur)
+        seq.append(cur)
+    return tokens
+
+
 def test_generate_greedy_cached_equals_uncached():
     cfg = toy_config()
     model = ReportModel(cfg)
     vocab, samples, _ = _batch(cfg)
     s = samples[0]
     kw_ids, kw_mask = D.encode_keyword_string(vocab, s.keywords, cfg.s_l)
-    a = model.generate(s.image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id,
-                       max_len=8, use_cache=True)
-    b = model.generate(s.image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id,
-                       max_len=8, use_cache=False)
+    a = model.generate(s.image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id, max_len=8)
+    b = _greedy_uncached(model, s.image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id,
+                         max_len=8)
     assert a == b
 
 

@@ -1,5 +1,9 @@
 """Tests for the optimizer, scheduler, training loop, and checkpoints."""
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -192,3 +196,50 @@ def test_checkpoint_truncation_detected(tmp_path):
         fh.write(raw[: len(raw) // 2])
     with pytest.raises(TR.CheckpointError):
         TR.load_checkpoint(p)
+
+
+# body layout: magic, u32 version, u32 meta length, meta JSON, u32 record
+# count, then per record u32 name length, name, u8 dtype tag, ...
+
+def _meta_end(body):
+    return 12 + struct.unpack_from("<I", body, 8)[0]
+
+
+def _with_meta(meta):
+    def corrupt(body):
+        return body[:8] + struct.pack("<I", len(meta)) + meta + body[_meta_end(body):]
+    return corrupt
+
+
+def _drop_meta_key(key):
+    def corrupt(body):
+        meta = json.loads(body[12:_meta_end(body)])
+        del meta[key]
+        return _with_meta(json.dumps(meta).encode())(body)
+    return corrupt
+
+
+def _unknown_dtype_tag(body):
+    first = _meta_end(body) + 4
+    tag_at = first + 4 + struct.unpack_from("<I", body, first)[0]
+    return body[:tag_at] + bytes([9]) + body[tag_at + 1:]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _unknown_dtype_tag,
+    _with_meta(b"not json"),
+    _with_meta(b"\xff\xfe"),
+    _with_meta(b"[1, 2]"),
+    _drop_meta_key("config"),
+    _drop_meta_key("adam_step"),
+], ids=["unknown-dtype-tag", "meta-not-json", "meta-not-utf8", "meta-not-object",
+        "meta-lacks-config", "meta-lacks-adam-step"])
+def test_checkpoint_malformed_body_raises_checkpoint_error(tmp_path, corrupt):
+    # each corrupted body gets a fresh CRC, so only the parser can catch it
+    model, state, _, tc = _tiny_run(1)
+    p = tmp_path / "m.ckpt"
+    TR.save_checkpoint(model, state, tc, str(p))
+    body = corrupt(p.read_bytes()[:-4])
+    p.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    with pytest.raises(TR.CheckpointError):
+        TR.load_checkpoint(str(p))
