@@ -115,6 +115,27 @@ class TrainConfig:
 
 _MODEL_FIELDS = {f.name for f in dataclasses.fields(ModelConfig)}
 _TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+# field name -> declared type name ("int", "float", "str" or "bool")
+_FIELD_TYPES = {f.name: f.type for cls in (ModelConfig, TrainConfig)
+                for f in dataclasses.fields(cls)}
+
+
+def _checked(key: str, value):
+    """``value`` if it has the declared type of field ``key`` (an int is
+    accepted for a float field, a bool is not an int); else ConfigError."""
+    kind = _FIELD_TYPES[key]
+    if kind == "bool":
+        ok = isinstance(value, bool)
+    elif kind == "int":
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif kind == "float":
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        value = float(value) if ok else value
+    else:
+        ok = isinstance(value, str)
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
+    return value
 
 
 def config_to_dict(model: ModelConfig, train: TrainConfig) -> dict:
@@ -127,10 +148,14 @@ def config_to_dict(model: ModelConfig, train: TrainConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> tuple[ModelConfig, TrainConfig]:
-    """Split a flat config dict into model/train records. Unknown keys reject."""
+    """Split a flat config dict into model/train records. Unknown keys and
+    values of the wrong type reject."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
     unknown = set(d) - _MODEL_FIELDS - _TRAIN_FIELDS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    d = {k: _checked(k, v) for k, v in d.items()}
     model = ModelConfig(**{k: v for k, v in d.items() if k in _MODEL_FIELDS})
     train_kw = {k: v for k, v in d.items() if k in _TRAIN_FIELDS}
     train_kw["seed"] = model.seed

@@ -7,14 +7,16 @@ training the cross-attention memory is the fused feature rows followed by the
 teacher-forced report embeddings; the report segment is causally masked so
 logits at position t never see tokens past t. At inference the report segment
 grows with the embeddings of already-consumed tokens, keeping the memory
-distribution identical to training, and decoding runs with a per-layer KV
-cache.
+distribution identical to training, and decoding runs N streams in lockstep
+with a per-layer KV cache that also holds the cross-attention projections of
+the memory.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -57,6 +59,19 @@ def init_decoder(cfg: ModelConfig, rng: np.random.Generator) -> dict:
 ROPE_BASE = 10000.0
 
 
+@functools.lru_cache(maxsize=256)
+def _rope_tables(start_pos: int, length: int, head_dim: int):
+    """Read-only (length, head_dim/2) cos and sin tables for positions
+    start_pos .. start_pos+length-1."""
+    pos = np.arange(start_pos, start_pos + length, dtype=float)[:, None]
+    theta = ROPE_BASE ** (-2.0 * np.arange(head_dim // 2, dtype=float) / head_dim)[None, :]
+    ang = pos * theta
+    cos, sin = np.cos(ang), np.sin(ang)
+    cos.flags.writeable = False
+    sin.flags.writeable = False
+    return cos, sin
+
+
 def rope_apply(x: Tensor, start_pos: int = 0) -> Tensor:
     """Rotate adjacent pairs of the trailing axis by position-dependent angles.
 
@@ -66,11 +81,7 @@ def rope_apply(x: Tensor, start_pos: int = 0) -> Tensor:
     hd = x.shape[-1]
     if hd % 2 != 0:
         raise ConfigError(f"head_dim must be even for rotary embeddings, got {hd}")
-    s = x.shape[-2]
-    pos = np.arange(start_pos, start_pos + s, dtype=float)[:, None]
-    theta = ROPE_BASE ** (-2.0 * np.arange(hd // 2, dtype=float) / hd)[None, :]
-    ang = pos * theta                      # (S, hd/2)
-    cos, sin = Tensor(np.cos(ang)), Tensor(np.sin(ang))
+    cos, sin = (Tensor(t) for t in _rope_tables(start_pos, x.shape[-2], hd))
     xr = x[..., 0::2]
     xi = x[..., 1::2]
     out_r = xr * cos - xi * sin
@@ -85,24 +96,47 @@ def rope_apply(x: Tensor, start_pos: int = 0) -> Tensor:
 # ---------------------------------------------------------------------
 
 class KVCache:
-    """Per-layer cached self-attention keys/values for one decode stream.
+    """Per-layer cached keys/values for N decode streams run in lockstep.
 
-    Each layer holds arrays of shape (n_kv, t, head_dim); t grows by exactly
-    one per decode step and existing entries are never mutated.
+    Self-attention: ``k``/``v`` hold (N, n_kv, t, head_dim) per layer, and t
+    grows by exactly one per decode step. Cross-attention: ``mem_k``/``mem_v``
+    hold the (N, heads, rows, head_dim) projections of the memory rows seen
+    so far, so each memory row is projected once; between steps the memory
+    may only grow by appending rows. N is set by the first append. Existing
+    entries are never mutated.
     """
 
     def __init__(self, n_layers: int, n_kv: int, head_dim: int):
-        self.k = [np.zeros((n_kv, 0, head_dim)) for _ in range(n_layers)]
-        self.v = [np.zeros((n_kv, 0, head_dim)) for _ in range(n_layers)]
+        self.n_kv, self.head_dim = n_kv, head_dim
+        self.k: List[Optional[np.ndarray]] = [None] * n_layers
+        self.v: List[Optional[np.ndarray]] = [None] * n_layers
+        self.mem_k: List[Optional[np.ndarray]] = [None] * n_layers
+        self.mem_v: List[Optional[np.ndarray]] = [None] * n_layers
 
     def length(self, layer: int = 0) -> int:
-        return self.k[layer].shape[1]
+        return 0 if self.k[layer] is None else self.k[layer].shape[2]
+
+    def memory_length(self, layer: int = 0) -> int:
+        return 0 if self.mem_k[layer] is None else self.mem_k[layer].shape[2]
 
     def append(self, layer: int, k_new: np.ndarray, v_new: np.ndarray) -> None:
-        if k_new.shape[1] != 1:
-            raise ValueError("cache grows by exactly one position per step")
-        self.k[layer] = np.concatenate([self.k[layer], k_new], axis=1)
-        self.v[layer] = np.concatenate([self.v[layer], v_new], axis=1)
+        if k_new.ndim != 4 or k_new.shape[1:] != (self.n_kv, 1, self.head_dim):
+            raise ValueError(f"cache grows by one (N, {self.n_kv}, 1, {self.head_dim}) "
+                             f"position per step, got {k_new.shape}")
+        self.k[layer] = _grow(self.k[layer], k_new)
+        self.v[layer] = _grow(self.v[layer], v_new)
+
+    def extend_memory(self, layer: int, k_new: np.ndarray, v_new: np.ndarray) -> None:
+        self.mem_k[layer] = _grow(self.mem_k[layer], k_new)
+        self.mem_v[layer] = _grow(self.mem_v[layer], v_new)
+
+
+def _grow(old: Optional[np.ndarray], new: np.ndarray) -> np.ndarray:
+    if old is None:
+        return new
+    if new.shape[0] != old.shape[0]:
+        raise ValueError(f"cache holds {old.shape[0]} streams, got {new.shape[0]}")
+    return np.concatenate([old, new], axis=2)
 
 
 def gqa_attention(
@@ -114,8 +148,8 @@ def gqa_attention(
     start_pos: int = 0,
 ) -> Tensor:
     """Causal grouped-query self-attention; each group of n_q/n_kv query heads
-    shares one KV head. With a cache, x must be a single new position and the
-    fresh K/V are appended."""
+    shares one KV head. With a cache, x must be a single new position per
+    stream and the fresh K/V are appended."""
     pre = f"dec.layer{layer}.sa"
     n, tq, d = x.shape
     hd, n_q, n_kv = cfg.head_dim, cfg.n_q, cfg.n_kv
@@ -128,13 +162,11 @@ def gqa_attention(
     k = rope_apply(k, start_pos)
 
     if cache is not None:
-        if n != 1:
-            raise ValueError("cached decoding is single-stream")
         if cache.length(layer) != start_pos:
             raise ValueError(f"cache holds {cache.length(layer)} positions, expected {start_pos}")
-        cache.append(layer, k.data[0], v.data[0])
-        k = Tensor(cache.k[layer][None])
-        v = Tensor(cache.v[layer][None])
+        cache.append(layer, k.data, v.data)
+        k = Tensor(cache.k[layer])
+        v = Tensor(cache.v[layer])
 
     tk = k.shape[2]
     q = q.reshape(n, n_kv, g, tq, hd)
@@ -156,17 +188,30 @@ def cross_attention(
     cfg: ModelConfig,
     layer: int,
     mem_mask: Optional[np.ndarray] = None,
+    cache: Optional[KVCache] = None,
 ) -> Tensor:
     """Standard multi-head attention of decoder states over the memory rows.
 
     ``mem_mask``: boolean, True = may attend, broadcastable to (N, Tq, S_m).
+    With a cache, only memory rows it has not seen yet are projected.
     """
     pre = f"dec.layer{layer}.ca"
     n, tq, d = x.shape
     n_heads, hd = cfg.n_q, cfg.head_dim
-    q = T.matmul(x, params[f"{pre}.w_q"]).reshape(n, tq, n_heads, hd).transpose(0, 2, 1, 3)
-    k = T.matmul(memory, params[f"{pre}.w_k"]).reshape(n, -1, n_heads, hd).transpose(0, 2, 1, 3)
-    v = T.matmul(memory, params[f"{pre}.w_v"]).reshape(n, -1, n_heads, hd).transpose(0, 2, 1, 3)
+
+    def heads(rows: Tensor, w: Tensor) -> Tensor:
+        return T.matmul(rows, w).reshape(n, -1, n_heads, hd).transpose(0, 2, 1, 3)
+
+    q = heads(x, params[f"{pre}.w_q"])
+    if cache is None:
+        k, v = heads(memory, params[f"{pre}.w_k"]), heads(memory, params[f"{pre}.w_v"])
+    else:
+        seen = cache.memory_length(layer)
+        if memory.shape[1] > seen:
+            new = memory[:, seen:]
+            cache.extend_memory(layer, heads(new, params[f"{pre}.w_k"]).data,
+                                heads(new, params[f"{pre}.w_v"]).data)
+        k, v = Tensor(cache.mem_k[layer]), Tensor(cache.mem_v[layer])
     logits = T.matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(hd))
     km = None
     if mem_mask is not None:
@@ -206,7 +251,7 @@ def decoder_layer(
     h = T.rms_norm(x, params[f"{pre}.rms1.g"])
     x = x + gqa_attention(h, params, cfg, layer, cache=cache, start_pos=start_pos)
     h = T.rms_norm(x, params[f"{pre}.rms2.g"])
-    x = x + cross_attention(h, memory, params, cfg, layer, mem_mask=mem_mask)
+    x = x + cross_attention(h, memory, params, cfg, layer, mem_mask=mem_mask, cache=cache)
     h = T.rms_norm(x, params[f"{pre}.rms3.g"])
     x = x + swiglu_ffn(h, params[f"{pre}.ffn.w1"], params[f"{pre}.ffn.w2"], params[f"{pre}.ffn.w3"])
     return x
@@ -234,7 +279,7 @@ def decoder_forward(
 
 
 def decode_step(
-    token_id: int,
+    token_ids,
     pos: int,
     memory: Tensor,
     params: dict,
@@ -242,13 +287,18 @@ def decode_step(
     cache: KVCache,
     mem_mask: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """One cached autoregressive step; returns the (vocab,) logits row."""
-    x = T.embedding(params["dec.embed"], np.array([[token_id]]))
+    """One cached autoregressive step. ``token_ids`` is an int for one stream,
+    which returns its (vocab,) logits row, or an (N,) id array for N streams
+    (``memory`` then stacks N streams on its first axis), which returns
+    (N, vocab) logits."""
+    ids = np.asarray(token_ids)
+    x = T.embedding(params["dec.embed"], ids.reshape(-1, 1))
     for l in range(cfg.dec_layers):
         x = decoder_layer(x, memory, params, cfg, l, cache=cache, start_pos=pos,
                           mem_mask=mem_mask)
     x = T.rms_norm(x, params["dec.final_rms.g"])
-    return T.matmul(x, params["dec.head.w"]).data[0, 0]
+    logits = T.matmul(x, params["dec.head.w"]).data[:, 0]
+    return logits if ids.ndim else logits[0]
 
 
 def cross_entropy(logits: Tensor, target_ids: np.ndarray,

@@ -8,7 +8,7 @@ which groups exist at all; a disabled module contributes no parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -166,48 +166,61 @@ class ReportModel:
     def generate(self, image: np.ndarray, kw_ids: Optional[np.ndarray],
                  kw_mask: Optional[np.ndarray], bos_id: int, eos_id: int,
                  max_len: int, mode: str = "greedy",
-                 temperature: float = 1.0, seed: int = 0) -> List[int]:
-        """Autoregressive decode for a single sample; returns content ids."""
+                 temperature: float = 1.0,
+                 seed: int = 0) -> Union[List[int], List[List[int]]]:
+        """Autoregressive decode without the tape, all streams in lockstep.
+
+        A single sample (3-D image, 1-D keyword ids) returns its content ids;
+        a batch (4-D images, 2-D ids) returns one id list per stream. A stream
+        stops at its EOS; the loop stops once every stream has stopped.
+        """
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
         if mode not in ("greedy", "sample"):
             raise ValueError(f"unknown decode mode {mode!r}")
         cfg = self.cfg
-        images = image[None] if image.ndim == 3 else image
+        single = image.ndim == 3
+        images = image[None] if single else image
         if cfg.use_keywords:
             kw_ids = np.asarray(kw_ids)
             if kw_ids.ndim == 1:
                 kw_ids = kw_ids[None]
                 kw_mask = None if kw_mask is None else np.asarray(kw_mask)[None]
-        state = self.fuse(images, kw_ids if cfg.use_keywords else None,
-                          kw_mask if cfg.use_keywords else None)
-        embed = self.params["dec.embed"]
+        n = images.shape[0]
         rng = np.random.default_rng(seed)
-        tokens: List[int] = []
-        # the memory grows with the embeddings of already-consumed tokens,
-        # mirroring the causally masked report segment seen in training
-        cache = dec_mod.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim)
-        memory = dec_mod.project_memory(state.f, self.params).detach()
-        mem_mask = state.f_row_mask[:, None, :]
-        cur = bos_id
-        for pos in range(max_len):
-            row = Tensor(embed.data[np.array([[cur]])])
-            memory = T.concat([memory, row], axis=-2)
-            mem_mask = np.concatenate(
-                [mem_mask, np.ones((1, 1, 1), dtype=bool)], axis=2)
-            logits = dec_mod.decode_step(cur, pos, memory, self.params, cfg,
-                                         cache, mem_mask=mem_mask)
-            cur = self._pick(logits, mode, temperature, rng)
-            if cur == eos_id:
-                break
-            tokens.append(cur)
-        return tokens
+        tokens: List[List[int]] = [[] for _ in range(n)]
+        with T.no_grad():
+            state = self.fuse(images, kw_ids if cfg.use_keywords else None,
+                              kw_mask if cfg.use_keywords else None)
+            embed = self.params["dec.embed"].data
+            # the memory grows with the embeddings of already-consumed tokens,
+            # mirroring the causally masked report segment seen in training
+            cache = dec_mod.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim)
+            memory = dec_mod.project_memory(state.f, self.params)
+            mem_mask = state.f_row_mask[:, None, :]
+            cur = np.full(n, bos_id)
+            live = np.ones(n, dtype=bool)
+            for pos in range(max_len):
+                memory = T.concat([memory, Tensor(embed[cur][:, None])], axis=-2)
+                mem_mask = np.concatenate(
+                    [mem_mask, np.ones((n, 1, 1), dtype=bool)], axis=2)
+                logits = dec_mod.decode_step(cur, pos, memory, self.params, cfg,
+                                             cache, mem_mask=mem_mask)
+                if mode == "greedy":
+                    cur = logits.argmax(axis=-1)
+                else:
+                    for i in np.flatnonzero(live):
+                        cur[i] = self._sample(logits[i], temperature, rng)
+                live &= cur != eos_id
+                for i in np.flatnonzero(live):
+                    tokens[i].append(int(cur[i]))
+                if not live.any():
+                    break
+        return tokens[0] if single else tokens
 
     @staticmethod
-    def _pick(logits: np.ndarray, mode: str, temperature: float,
-              rng: np.random.Generator) -> int:
-        if mode == "greedy":
-            return int(np.argmax(logits))
+    def _sample(logits: np.ndarray, temperature: float,
+                rng: np.random.Generator) -> int:
         z = logits / max(temperature, 1e-6)
         z = z - z.max()
         p = np.exp(z)

@@ -4,11 +4,13 @@ Tensors wrap numpy arrays (row-major, float64 by default, float32 selectable)
 and record local-gradient closures on an implicit tape as ops execute.
 ``backward`` replays the tape in reverse topological order, accumulating
 gradients over fan-out. The tape is single-use: a second ``backward`` on the
-same graph raises.
+same graph raises. Inside ``no_grad()`` ops record nothing, which is how
+inference runs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
@@ -20,6 +22,7 @@ __all__ = [
     "NonFiniteError",
     "set_default_dtype",
     "get_default_dtype",
+    "no_grad",
     "concat",
     "matmul",
     "sigmoid",
@@ -35,6 +38,7 @@ __all__ = [
 ]
 
 _DEFAULT_DTYPE = np.float64
+_GRAD_ENABLED = True
 
 
 class ShapeError(ValueError):
@@ -55,6 +59,20 @@ def set_default_dtype(dtype) -> None:
 
 def get_default_dtype():
     return _DEFAULT_DTYPE
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the block without recording the tape: ops return plain tensors
+    with no backward closure and no children. The previous state comes back
+    on exit, also when the block raises."""
+    global _GRAD_ENABLED
+    prev = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = prev
 
 
 class Tensor:
@@ -222,6 +240,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _make(out_data, children, backward) -> Tensor:
+    if not _GRAD_ENABLED:
+        return Tensor(out_data)
     out = Tensor(out_data, _children=tuple(children))
     if _needs_tape(*children):
         out.requires_grad = True

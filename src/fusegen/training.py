@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .config import TrainConfig, config_from_dict, config_to_dict
+from .config import ConfigError, TrainConfig, config_from_dict, config_to_dict
 from .data import Batch, SyntheticSample, Vocab, make_batch
 from .model import LossReport, ReportModel
 from .tensor import Tensor
@@ -221,7 +221,10 @@ def load_checkpoint(path: str):
         tensors[name] = np.frombuffer(payload, dtype=dtype.newbyteorder("<")) \
             .astype(dtype).reshape(shape)
 
-    model_cfg, train_cfg = config_from_dict(cfg_dict)
+    try:
+        model_cfg, train_cfg = config_from_dict(cfg_dict)
+    except ConfigError as exc:
+        raise CheckpointError(f"invalid checkpoint config: {exc}") from exc
     model = ReportModel(model_cfg)
     for name, p in model.params.items():
         if name not in tensors:

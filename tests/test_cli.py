@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 from fusegen import cli
+from fusegen import data as D
+from fusegen import training as TR
 from fusegen.config import ModelConfig, TrainConfig, load_config, save_config
+from fusegen.model import ReportModel
+from fusegen.tensor import Tensor
 from fusegen.verify import toy_config
 
 
@@ -144,3 +148,38 @@ def test_keyword_dropout_flag_runs(tmp_path, capsys):
     rc = cli.main(["eval", "--config", cfg_path, "--out", out,
                    "--keyword-dropout", "0.5"])
     assert rc == 0
+
+
+def _three_train_steps():
+    model = ReportModel(toy_config())
+    samples = D.synth_generate(8, seed=1, side=model.cfg.image_side)
+    tc = TrainConfig(batch_size=4, lr=1e-3, scheduler="constant")
+    _, hist = TR.run_training(model, samples, D.default_vocab(), tc, n_steps=3)
+    psum = sum(float(p.data.sum()) for _, p in sorted(model.params.items()))
+    return [(h.l_ce, h.l_align, h.l_total, h.grad_norm) for h in hist], psum
+
+
+def test_inference_commands_leave_tape_recording_on(tmp_path, capsys):
+    before = _three_train_steps()
+    cfg_path = _toy_config_file(tmp_path)
+    out = str(tmp_path / "run")
+    cli.main(["train", "--config", cfg_path, "--out", out, "--epochs", "1"])
+    x = Tensor(np.ones(2), requires_grad=True)
+    for argv in (["eval", "--out", out], ["generate", "--out", out]):
+        assert cli.main(argv) == 0
+        assert (x * 2.0)._backward is not None, argv[0]
+    # a training run after the inference commands is bit-identical
+    assert _three_train_steps() == before
+
+
+def test_bad_config_in_checkpoint_is_a_checkpoint_error(tmp_path, capsys):
+    cfg_path = _toy_config_file(tmp_path)
+    out = str(tmp_path / "run")
+    cli.main(["train", "--config", cfg_path, "--out", out, "--epochs", "1"])
+    path = os.path.join(out, "model.ckpt")
+    model, state, tc, _ = TR.load_checkpoint(path)
+    tc.lr = "abc"
+    TR.save_checkpoint(model, state, tc, path)
+    capsys.readouterr()
+    assert cli.main(["eval", "--out", out]) == 2
+    assert "checkpoint error" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Tests for configuration validation and (de)serialization."""
 
+import json
+
 import pytest
 
 from fusegen.config import (ConfigError, ModelConfig, TrainConfig,
@@ -64,3 +66,34 @@ def test_file_round_trip(tmp_path):
     save_config(ModelConfig(seed=9), TrainConfig(batch_size=4), p)
     m, t = load_config(p)
     assert m.seed == 9 and t.batch_size == 4 and t.seed == 9
+
+
+@pytest.mark.parametrize("bad", [
+    {"lr": "abc"},
+    {"epochs": "3"},
+    {"dec_d": "64"},
+    {"use_keywords": "no"},
+    {"seed": True},            # a bool is not an int
+    {"batch_size": 4.0},
+], ids=["str-float", "str-int", "str-model-int", "str-bool", "bool-int",
+        "float-int"])
+def test_wrong_typed_values_rejected(tmp_path, bad):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(bad))
+    with pytest.raises(ConfigError):
+        load_config(str(p))
+
+
+def test_int_accepted_for_float_field(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"lr": 1, "lambda_align": 0}))
+    _, t = load_config(str(p))
+    assert t.lr == 1.0 and isinstance(t.lr, float)
+    assert t.lambda_align == 0.0
+
+
+def test_non_object_config_rejected(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text("5")
+    with pytest.raises(ConfigError):
+        load_config(str(p))

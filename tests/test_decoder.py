@@ -60,6 +60,20 @@ def test_rope_start_pos_matches_slicing():
     np.testing.assert_allclose(full[:, 4:], tail, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape, start", [((2, 3, 5, 8), 0), ((1, 4, 1, 16), 7)])
+def test_rope_cached_tables_match_formula_bitwise(shape, start):
+    x = RNG.normal(0, 1, shape)
+    hd, s = shape[-1], shape[-2]
+    ang = (np.arange(start, start + s, dtype=float)[:, None]
+           * (DEC.ROPE_BASE ** (-2.0 * np.arange(hd // 2, dtype=float) / hd))[None, :])
+    cos, sin = np.cos(ang), np.sin(ang)
+    ref = np.empty_like(x)
+    ref[..., 0::2] = x[..., 0::2] * cos - x[..., 1::2] * sin
+    ref[..., 1::2] = x[..., 0::2] * sin + x[..., 1::2] * cos
+    for _ in range(2):        # the second call reads the cached tables
+        np.testing.assert_array_equal(DEC.rope_apply(Tensor(x), start).data, ref)
+
+
 def test_rope_odd_head_dim_rejected():
     with pytest.raises(ConfigError):
         DEC.rope_apply(Tensor(np.zeros((1, 2, 7))))
@@ -161,6 +175,47 @@ def test_cached_decoding_matches_full_forward():
     for pos, tok in enumerate(ids):
         row = DEC.decode_step(int(tok), pos, mem, params, cfg, cache)
         np.testing.assert_allclose(row, full[pos], atol=1e-8)
+
+
+def test_batched_decode_step_rows_match_full_forward_per_stream():
+    cfg, params = _setup()
+    n, t = 3, 6
+    mem = _memory(cfg, n=n)
+    ids = RNG.integers(0, cfg.vocab_size, (n, t))
+    full = DEC.decoder_forward(ids, mem, params, cfg).data
+    cache = DEC.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim)
+    for pos in range(t):
+        rows = DEC.decode_step(ids[:, pos], pos, mem, params, cfg, cache)
+        assert rows.shape == (n, cfg.vocab_size)
+        np.testing.assert_allclose(rows, full[:, pos], atol=1e-8)
+    assert cache.k[0].shape == (n, cfg.n_kv, t, cfg.head_dim)
+
+
+def test_cross_attention_kv_cache_matches_uncached():
+    """The cache projects each memory row once, also as the memory grows."""
+    cfg, params = _setup()
+    n = 2
+    mem = RNG.normal(0, 1, (n, 8, cfg.dec_d))
+    mask = RNG.uniform(size=(n, 1, 8)) > 0.3
+    mask[:, :, 0] = True
+    cache = DEC.KVCache(1, cfg.n_kv, cfg.head_dim)
+    for rows in (5, 5, 6, 8):
+        x = Tensor(RNG.normal(0, 1, (n, 1, cfg.dec_d)))
+        m = Tensor(mem[:, :rows])
+        a = DEC.cross_attention(x, m, params, cfg, 0, mem_mask=mask[..., :rows], cache=cache)
+        b = DEC.cross_attention(x, m, params, cfg, 0, mem_mask=mask[..., :rows])
+        np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12)
+        assert cache.memory_length(0) == rows
+
+
+def test_cache_rejects_changed_stream_count():
+    cfg, _ = _setup()
+    cache = DEC.KVCache(1, cfg.n_kv, cfg.head_dim)
+    cache.append(0, np.zeros((2, cfg.n_kv, 1, cfg.head_dim)),
+                 np.zeros((2, cfg.n_kv, 1, cfg.head_dim)))
+    with pytest.raises(ValueError):
+        cache.append(0, np.zeros((3, cfg.n_kv, 1, cfg.head_dim)),
+                     np.zeros((3, cfg.n_kv, 1, cfg.head_dim)))
 
 
 # ---------------------------------------------------------------------

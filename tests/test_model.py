@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from fusegen import cli
 from fusegen import data as D
 from fusegen import decoder as DEC
 from fusegen import tensor as T
-from fusegen.config import ConfigError
+from fusegen import training as TR
+from fusegen.config import ConfigError, TrainConfig
 from fusegen.model import ReportModel
 from fusegen.tensor import Tensor
 from fusegen.verify import toy_config
@@ -145,6 +147,58 @@ def test_generate_greedy_cached_equals_uncached():
     b = _greedy_uncached(model, s.image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id,
                          max_len=8)
     assert a == b
+
+
+@pytest.fixture(scope="module")
+def trained_toy():
+    """A toy model trained just long enough that its decodes depend on the
+    input, so streams of one batch differ."""
+    cfg = toy_config()
+    model = ReportModel(cfg)
+    vocab = D.default_vocab()
+    samples = D.synth_generate(16, seed=0, side=cfg.image_side)
+    TR.run_training(model, samples, vocab,
+                    TrainConfig(batch_size=8, lr=1e-2, scheduler="constant"),
+                    n_steps=60, max_len=10)
+    return model, vocab, samples
+
+
+def test_generate_batch_equals_uncached_per_stream(trained_toy):
+    model, vocab, samples = trained_toy
+    samples = samples[:6]
+    enc = [D.encode_keyword_string(vocab, s.keywords, model.cfg.s_l) for s in samples]
+    free = [_greedy_uncached(model, s.image, ids, m, vocab.bos_id, -1, 8)
+            for s, (ids, m) in zip(samples, enc)]
+    # the emitted token whose first occurrence varies most across streams
+    # becomes EOS, so the streams stop at different steps
+    stops = {tok: {seq.index(tok) if tok in seq else 8 for seq in free}
+             for seq in free for tok in seq}
+    eos = max(sorted(stops), key=lambda tok: len(stops[tok]))
+    assert len(stops[eos]) >= 3
+    images = np.stack([s.image for s in samples])
+    kw_ids = np.stack([ids for ids, _ in enc])
+    kw_mask = np.stack([m for _, m in enc])
+    batched = model.generate(images, kw_ids, kw_mask, vocab.bos_id, eos, max_len=8)
+    expect = [_greedy_uncached(model, s.image, ids, m, vocab.bos_id, eos, 8)
+              for s, (ids, m) in zip(samples, enc)]
+    assert batched == expect
+    assert len({len(t) for t in batched}) >= 3
+
+
+@pytest.mark.parametrize("decode_batch", [5, 64])
+def test_decode_corpus_matches_per_sample_loop_with_keyword_dropout(
+        trained_toy, monkeypatch, decode_batch):
+    model, vocab, samples = trained_toy
+    monkeypatch.setattr(cli, "DECODE_BATCH", decode_batch)   # 5: a ragged last batch
+    hyps, refs = cli._decode_corpus(model, samples, vocab, 10,
+                                    keyword_dropout=0.5, drop_seed=3)
+    drop_rng = np.random.default_rng(3)
+    expect = []
+    for s in samples:
+        ids, m = D.encode_keyword_string(vocab, s.keywords, model.cfg.s_l, drop_rng, 0.5)
+        expect.append(model.generate(s.image, ids, m, vocab.bos_id, vocab.eos_id, 10))
+    assert hyps == expect
+    assert refs == [vocab.encode(s.report) for s in samples]
 
 
 def test_generate_sampling_is_seeded():

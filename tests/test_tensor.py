@@ -221,6 +221,27 @@ def test_detach_cuts_graph():
     assert x.grad is None
 
 
+def test_no_grad_records_no_tape():
+    x = Tensor(RNG.normal(0, 1, (3, 4)), requires_grad=True)
+    w = Tensor(RNG.normal(0, 1, (4, 2)), requires_grad=True)
+    with T.no_grad():
+        outs = [T.matmul(x, w), x * 2.0, T.softmax_rows(x), T.rms_norm(x, x[0]),
+                T.concat([x, x], axis=0), x.reshape(4, 3), x[1:]]
+    for out in outs:
+        assert out._backward is None and out._children == ()
+        assert not out.requires_grad
+    assert T.matmul(x, w)._backward is not None      # recording resumes
+
+
+def test_no_grad_restores_recording_after_exception():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            raise RuntimeError("inside the block")
+    (x * x).sum().backward()
+    np.testing.assert_array_equal(x.grad, 2.0 * np.ones(3))
+
+
 def test_grad_check_rejects_bad_h():
     with pytest.raises(ValueError):
         T.grad_check(lambda t: t.sum(), Tensor(np.ones(2)), h=1.0)

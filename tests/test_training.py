@@ -225,6 +225,14 @@ def _unknown_dtype_tag(body):
     return body[:tag_at] + bytes([9]) + body[tag_at + 1:]
 
 
+def _set_config_value(key, value):
+    def corrupt(body):
+        meta = json.loads(body[12:_meta_end(body)])
+        meta["config"][key] = value
+        return _with_meta(json.dumps(meta).encode())(body)
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt", [
     _unknown_dtype_tag,
     _with_meta(b"not json"),
@@ -232,8 +240,12 @@ def _unknown_dtype_tag(body):
     _with_meta(b"[1, 2]"),
     _drop_meta_key("config"),
     _drop_meta_key("adam_step"),
+    _set_config_value("lr", "abc"),
+    _set_config_value("use_keywords", "no"),
+    _set_config_value("bogus", 1),
 ], ids=["unknown-dtype-tag", "meta-not-json", "meta-not-utf8", "meta-not-object",
-        "meta-lacks-config", "meta-lacks-adam-step"])
+        "meta-lacks-config", "meta-lacks-adam-step", "config-str-float",
+        "config-str-bool", "config-unknown-key"])
 def test_checkpoint_malformed_body_raises_checkpoint_error(tmp_path, corrupt):
     # each corrupted body gets a fresh CRC, so only the parser can catch it
     model, state, _, tc = _tiny_run(1)
