@@ -6,7 +6,7 @@ autodiff so each component's gradients are checkable by finite differences.
 
 from .config import ModelConfig, TrainConfig, ConfigError
 from .model import ReportModel, FusionState, LossReport
-from .tensor import Tensor, grad_check, set_default_dtype
+from .tensor import Tensor, grad_check
 
 __all__ = [
     "ModelConfig",
@@ -17,7 +17,6 @@ __all__ = [
     "LossReport",
     "Tensor",
     "grad_check",
-    "set_default_dtype",
 ]
 
 __version__ = "0.1.0"

@@ -42,14 +42,14 @@ def init_alignment(cfg: ModelConfig, rng: np.random.Generator) -> dict:
 def temperature(params: dict) -> Tensor:
     """Learnable temperature, softplus-parameterized with a positive floor."""
     raw = params["aln.tau.raw"]
-    return T.log(T.exp(raw) + Tensor(np.array(1.0))) + Tensor(np.array(TEMPERATURE_FLOOR))
+    return T.log(T.exp(raw) + 1.0) + TEMPERATURE_FLOOR
 
 
 def l2_normalize(x: Tensor, eps: float = 1e-12):
     """Row-normalize; near-zero rows stay zero and are flagged."""
     norm_sq = (x * x).sum(axis=-1, keepdims=True)
     degenerate = norm_sq.data.reshape(-1) < eps
-    inv = T.pow_const(norm_sq + Tensor(np.array(eps * eps)), -0.5)
+    inv = T.pow_const(norm_sq + eps * eps, -0.5)
     out = x * T.mask_fill(inv, degenerate[:, None], 0.0)
     return out, degenerate
 
@@ -63,8 +63,8 @@ def pool_fusion(
     if row_mask is None:
         pooled = f.mean(axis=-2)
     else:
-        m = np.asarray(row_mask, dtype=float)
-        pooled = (f * Tensor(m[:, :, None])).sum(axis=-2) * Tensor((1.0 / m.sum(axis=1))[:, None])
+        m = np.asarray(row_mask, dtype=f.data.dtype)
+        pooled = (f * m[:, :, None]).sum(axis=-2) * (1.0 / m.sum(axis=1))[:, None]
     proj = nn.linear(pooled, params["aln.pool.w"], params["aln.pool.b"])
     emb, degenerate = l2_normalize(proj)
     return PooledEmbedding(emb=emb, degenerate=degenerate)
@@ -84,8 +84,8 @@ def embed_report(report_ids: np.ndarray, params: dict,
     if mask is None:
         pooled = x.mean(axis=-2)
     else:
-        m = np.asarray(mask, dtype=float)
-        pooled = (x * Tensor(m[:, :, None])).sum(axis=-2) * Tensor((1.0 / m.sum(axis=1))[:, None])
+        m = np.asarray(mask, dtype=x.data.dtype)
+        pooled = (x * m[:, :, None]).sum(axis=-2) * (1.0 / m.sum(axis=1))[:, None]
     proj = nn.linear(pooled, params["aln.rep.w"], params["aln.rep.b"])
     emb, degenerate = l2_normalize(proj)
     return PooledEmbedding(emb=emb, degenerate=degenerate)

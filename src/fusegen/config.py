@@ -11,6 +11,13 @@ class ConfigError(ValueError):
     """Raised on an invalid or inconsistent configuration."""
 
 
+def _at_least(record, minimum: int, names) -> None:
+    for name in names:
+        value = getattr(record, name)
+        if value < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass
 class ModelConfig:
     """Every architectural hyperparameter in one place.
@@ -56,6 +63,9 @@ class ModelConfig:
     use_alignment: bool = True
 
     def __post_init__(self):
+        _at_least(self, 1, ("image_side", "e_v", "vocab_size", "e_l", "s_l", "enc_heads",
+                            "p", "d_align", "dec_d", "n_q", "n_kv", "max_report_len"))
+        _at_least(self, 0, ("enc_layers", "dec_layers"))
         if self.image_side % 8 != 0:
             raise ConfigError(f"image_side={self.image_side} not divisible by 8")
         if self.e_l % self.enc_heads != 0:
@@ -109,8 +119,8 @@ class TrainConfig:
             raise ConfigError(f"lambda_align must be >= 0, got {self.lambda_align}")
         if self.scheduler not in ("warmup_cosine", "constant"):
             raise ConfigError(f"unknown scheduler {self.scheduler!r}")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("batch_size >= 1 and epochs >= 0 required")
+        _at_least(self, 1, ("batch_size", "n_train", "n_eval"))
+        _at_least(self, 0, ("epochs",))
 
 
 _MODEL_FIELDS = {f.name for f in dataclasses.fields(ModelConfig)}

@@ -81,7 +81,8 @@ def rope_apply(x: Tensor, start_pos: int = 0) -> Tensor:
     hd = x.shape[-1]
     if hd % 2 != 0:
         raise ConfigError(f"head_dim must be even for rotary embeddings, got {hd}")
-    cos, sin = (Tensor(t) for t in _rope_tables(start_pos, x.shape[-2], hd))
+    cos, sin = (Tensor(t.astype(x.data.dtype, copy=False))
+                for t in _rope_tables(start_pos, x.shape[-2], hd))
     xr = x[..., 0::2]
     xi = x[..., 1::2]
     out_r = xr * cos - xi * sin

@@ -61,7 +61,7 @@ def _patch_merge(x: Tensor) -> Tensor:
 
 def encode_image(images, params: dict, cfg: ModelConfig) -> VisualFeatures:
     """Map (N, side, side, C) images to a (N, S_V, E_V) feature grid."""
-    x = images if isinstance(images, Tensor) else Tensor(images)
+    x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=cfg.dtype))
     if x.ndim == 3:
         x = x.reshape(1, *x.shape)
     n, side, side2, c = x.shape
@@ -120,7 +120,7 @@ def encode_keywords(
     if mask is None:
         mask = np.ones((n, s), dtype=bool)
     mask = np.asarray(mask, dtype=bool)
-    x = T.embedding(params["kw.embed"], ids) + Tensor(nn.sinusoidal_positions(s, cfg.e_l))
+    x = T.embedding(params["kw.embed"], ids) + nn.sinusoidal_positions(s, cfg.e_l)
     for l in range(cfg.enc_layers):
         attn = {k: params[f"kw.layer{l}.attn.{k}"] for k in ("w_q", "w_k", "w_v", "w_o")}
         h = nn.mha(x, attn, cfg.enc_heads, mode=cfg.attn_norm, key_mask=mask)

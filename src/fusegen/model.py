@@ -66,6 +66,8 @@ class ReportModel:
         if cfg.use_alignment:
             params.update(aln_mod.init_alignment(cfg, rng))
         params.update(dec_mod.init_decoder(cfg, rng))
+        for p in params.values():
+            p.data = p.data.astype(cfg.dtype, copy=False)
         self.params = params
 
     # -- parameter plumbing -------------------------------------------
@@ -136,8 +138,7 @@ class ReportModel:
         kw_mask = batch.kw_mask if cfg.use_keywords else None
         state = self.fuse(batch.images, kw_ids, kw_mask)
 
-        zero = Tensor(np.zeros(1))
-        l_align = zero
+        l_align = Tensor(np.zeros(1, dtype=cfg.dtype))
         if cfg.use_alignment:
             f_emb = aln_mod.pool_fusion(state.f, self.params, row_mask=state.f_row_mask)
             r_emb = aln_mod.embed_report(batch.rep_ids, self.params,

@@ -76,8 +76,7 @@ def mha(
     n_heads: int,
     mode: str = "softmax",
     key_mask: Optional[np.ndarray] = None,
-    return_weights: bool = False,
-):
+) -> Tensor:
     """Multi-head self-attention over a batch of sequences.
 
     x: (N, S, d) with d divisible by n_heads; per-head scaling 1/sqrt(d_head).
@@ -96,10 +95,7 @@ def mha(
     logits = T.matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
     km = None if key_mask is None else np.asarray(key_mask, dtype=bool)[:, None, None, :]
     w = attn_normalize(logits, mode, km)
-    out = linear(_merge_heads(T.matmul(w, v)), params["w_o"])
-    if return_weights:
-        return out, w
-    return out
+    return linear(_merge_heads(T.matmul(w, v)), params["w_o"])
 
 
 def sinusoidal_positions(s: int, d: int) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
-Tensors wrap numpy arrays (row-major, float64 by default, float32 selectable)
-and record local-gradient closures on an implicit tape as ops execute.
+Tensors wrap row-major numpy arrays and record local-gradient closures on an
+implicit tape as ops execute. A tensor's dtype is its data's: float32 data
+stays float32, anything else becomes float64, and Python-scalar operands take
+the dtype of the tensor they meet, so a float32 graph stays float32.
 ``backward`` replays the tape in reverse topological order, accumulating
 gradients over fan-out. The tape is single-use: a second ``backward`` on the
 same graph raises. Inside ``no_grad()`` ops record nothing, which is how
@@ -20,8 +22,6 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "NonFiniteError",
-    "set_default_dtype",
-    "get_default_dtype",
     "no_grad",
     "concat",
     "matmul",
@@ -37,8 +37,8 @@ __all__ = [
     "grad_check_params",
 ]
 
-_DEFAULT_DTYPE = np.float64
 _GRAD_ENABLED = True
+_FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 
 class ShapeError(ValueError):
@@ -47,18 +47,6 @@ class ShapeError(ValueError):
 
 class NonFiniteError(FloatingPointError):
     """Raised when an op receives or produces disallowed non-finite values."""
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype}")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def get_default_dtype():
-    return _DEFAULT_DTYPE
 
 
 @contextlib.contextmanager
@@ -81,7 +69,11 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, _children: tuple = ()):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        if type(data) is not np.ndarray or data.dtype not in _FLOAT_DTYPES:
+            data = np.asarray(data)
+            if data.dtype != np.float32:
+                data = data.astype(np.float64, copy=False)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._backward: Optional[Callable[[np.ndarray], None]] = None
@@ -139,31 +131,31 @@ class Tensor:
 
     # -- operator sugar ------------------------------------------------
     def __add__(self, other):
-        return add(self, _as_tensor(other))
+        return add(self, _as_tensor(other, self))
 
     def __radd__(self, other):
-        return add(_as_tensor(other), self)
+        return add(_as_tensor(other, self), self)
 
     def __sub__(self, other):
-        return sub(self, _as_tensor(other))
+        return sub(self, _as_tensor(other, self))
 
     def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
+        return sub(_as_tensor(other, self), self)
 
     def __mul__(self, other):
-        return mul(self, _as_tensor(other))
+        return mul(self, _as_tensor(other, self))
 
     def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
+        return mul(_as_tensor(other, self), self)
 
     def __truediv__(self, other):
-        return div(self, _as_tensor(other))
+        return div(self, _as_tensor(other, self))
 
     def __neg__(self):
-        return mul(self, Tensor(np.array(-1.0)))
+        return mul(self, _as_tensor(-1.0, self))
 
     def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
+        return matmul(self, _as_tensor(other, self))
 
     def __pow__(self, p):
         return pow_const(self, float(p))
@@ -194,8 +186,9 @@ class Tensor:
         return transpose(self, tuple(axes))
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=_DEFAULT_DTYPE))
+def _as_tensor(x, like: Tensor) -> Tensor:
+    """``x`` as a Tensor; non-tensor operands take ``like``'s dtype."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def _toposort(root: Tensor) -> list:
@@ -436,10 +429,9 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.size if axis is None else (
-        np.prod([a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
-    )
-    return mul(sum_(a, axis=axis, keepdims=keepdims), Tensor(np.array(1.0 / float(n))))
+    total = sum_(a, axis=axis, keepdims=keepdims)
+    # m / (m * n) rounds to the same float as 1 / n
+    return mul(total, _as_tensor(total.size / a.size, a))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -546,14 +538,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = mean_(x, axis=-1, keepdims=True)
     xc = sub(x, mu)
     var = mean_(mul(xc, xc), axis=-1, keepdims=True)
-    inv = pow_const(add(var, Tensor(np.array(eps))), -0.5)
+    inv = pow_const(add(var, _as_tensor(eps, x)), -0.5)
     return add(mul(mul(xc, inv), gain), bias)
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     """x / sqrt(mean(x^2) + eps) over the trailing axis, then elementwise gain."""
     ms = mean_(mul(x, x), axis=-1, keepdims=True)
-    inv = pow_const(add(ms, Tensor(np.array(eps))), -0.5)
+    inv = pow_const(add(ms, _as_tensor(eps, x)), -0.5)
     return mul(mul(x, inv), gain)
 
 

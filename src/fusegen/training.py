@@ -8,6 +8,8 @@ of (seed, step) so an interrupted run resumes on the same curve.
 
 from __future__ import annotations
 
+import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -23,6 +25,7 @@ from .tensor import Tensor
 WARMUP_FRAC = 0.05
 FLOOR_FRAC = 0.10
 GRAD_CLIP = 1.0
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 # ---------------------------------------------------------------------
@@ -37,10 +40,8 @@ class AdamState:
 
 
 def adam_update(params: Dict[str, Tensor], grads: Dict[str, np.ndarray],
-                state: AdamState, lr: float,
-                betas=(0.9, 0.999), eps: float = 1e-8) -> None:
+                state: AdamState, lr: float) -> None:
     """Standard Adam with bias correction, in place."""
-    b1, b2 = betas
     state.step += 1
     t = state.step
     for name, p in params.items():
@@ -50,11 +51,11 @@ def adam_update(params: Dict[str, Tensor], grads: Dict[str, np.ndarray],
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / (1 - b1 ** t)
-        v_hat = state.v[name] / (1 - b2 ** t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        state.m[name] = ADAM_B1 * state.m[name] + (1 - ADAM_B1) * g
+        state.v[name] = ADAM_B2 * state.v[name] + (1 - ADAM_B2) * g * g
+        m_hat = state.m[name] / (1 - ADAM_B1 ** t)
+        v_hat = state.v[name] / (1 - ADAM_B2 ** t)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def lr_schedule(step: int, config: TrainConfig, total_steps: int) -> float:
@@ -69,7 +70,8 @@ def lr_schedule(step: int, config: TrainConfig, total_steps: int) -> float:
         return config.lr
     frac = (step - warmup) / (total_steps - warmup)
     frac = min(1.0, frac)
-    return floor + (config.lr - floor) * 0.5 * (1.0 + np.cos(np.pi * frac))
+    # a Python float: an np.float64 lr would upcast float32 params in Adam
+    return float(floor + (config.lr - floor) * 0.5 * (1.0 + np.cos(np.pi * frac)))
 
 
 def clip_global_norm(grads: Dict[str, np.ndarray], max_norm: float) -> float:
@@ -108,7 +110,7 @@ def batch_indices(seed: int, step: int, n: int, batch_size: int) -> np.ndarray:
 def run_training(model: ReportModel, samples: Sequence[SyntheticSample],
                  vocab: Vocab, config: TrainConfig, n_steps: int,
                  state: Optional[AdamState] = None, start_step: int = 0,
-                 max_len: int = 12, log_every: int = 0, log_fn=None):
+                 max_len: int = 12):
     """Drive ``n_steps`` of training; returns (AdamState, list[LossReport])."""
     cfg = model.cfg
     state = state or AdamState()
@@ -119,8 +121,6 @@ def run_training(model: ReportModel, samples: Sequence[SyntheticSample],
         lr = lr_schedule(step, config, start_step + n_steps)
         report = train_step(model, batch, state, config, lr=lr)
         history.append(report)
-        if log_fn is not None and log_every and (step + 1) % log_every == 0:
-            log_fn(step, report)
     return state, history
 
 
@@ -152,8 +152,6 @@ def _tensor_record(name: str, arr: np.ndarray) -> bytes:
 def save_checkpoint(model: ReportModel, state: AdamState,
                     train_cfg: TrainConfig, path: str,
                     extra: Optional[dict] = None) -> None:
-    import json
-
     cfg_blob = json.dumps({
         "config": config_to_dict(model.cfg, train_cfg),
         "adam_step": state.step,
@@ -181,8 +179,6 @@ def _read(buf: memoryview, off: int, n: int):
 
 def load_checkpoint(path: str):
     """Returns (model, adam_state, train_cfg, extra); bit-identical round-trip."""
-    import json
-
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12:
@@ -205,37 +201,49 @@ def load_checkpoint(path: str):
         cfg_dict, adam_step = meta["config"], meta["adam_step"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed checkpoint metadata: {exc!r}") from exc
+    if type(adam_step) is not int or adam_step < 0:
+        raise CheckpointError(f"adam_step must be an int >= 0, got {adam_step!r}")
     n_records, = struct.unpack("<I", _read(buf, off, 4)[0]); off += 4
 
     tensors: Dict[str, np.ndarray] = {}
     for _ in range(n_records):
         name_len, = struct.unpack("<I", _read(buf, off, 4)[0]); off += 4
-        name = _read(buf, off, name_len)[0].decode("utf-8"); off += name_len
+        name, off = _read(buf, off, name_len)
+        try:
+            name = name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"tensor name is not UTF-8: {exc}") from exc
         tag, rank = struct.unpack("<BB", _read(buf, off, 2)[0]); off += 2
         shape = struct.unpack(f"<{rank}I", _read(buf, off, 4 * rank)[0]); off += 4 * rank
         dtype = _TAG_DTYPES.get(tag)
         if dtype is None:
             raise CheckpointError(f"unknown dtype tag {tag} for {name}")
-        nbytes = int(np.prod(shape)) * dtype.itemsize if rank else dtype.itemsize
-        payload, off = _read(buf, off, nbytes)
-        tensors[name] = np.frombuffer(payload, dtype=dtype.newbyteorder("<")) \
-            .astype(dtype).reshape(shape)
+        payload, off = _read(buf, off, math.prod(shape) * dtype.itemsize)
+        try:
+            tensors[name] = np.frombuffer(payload, dtype=dtype.newbyteorder("<")) \
+                .astype(dtype).reshape(shape)
+        except ValueError as exc:
+            raise CheckpointError(f"bad shape {shape} for {name}: {exc}") from exc
 
     try:
         model_cfg, train_cfg = config_from_dict(cfg_dict)
     except ConfigError as exc:
         raise CheckpointError(f"invalid checkpoint config: {exc}") from exc
     model = ReportModel(model_cfg)
-    for name, p in model.params.items():
-        if name not in tensors:
-            raise CheckpointError(f"checkpoint missing parameter {name}")
-        if tensors[name].shape != p.data.shape:
-            raise CheckpointError(f"shape mismatch for {name}")
-        p.data = tensors[name].copy()
+
+    def take(key: str, like: np.ndarray) -> np.ndarray:
+        arr = tensors.get(key)
+        if arr is None:
+            raise CheckpointError(f"checkpoint missing tensor {key}")
+        if arr.shape != like.shape or arr.dtype != like.dtype:
+            raise CheckpointError(f"{key} is {arr.dtype}{arr.shape}, the model "
+                                  f"expects {like.dtype}{like.shape}")
+        return arr
+
     state = AdamState(step=adam_step)
-    for name in model.params:
-        mk, vk = f"adam.m.{name}", f"adam.v.{name}"
-        if mk in tensors:
-            state.m[name] = tensors[mk].copy()
-            state.v[name] = tensors[vk].copy()
+    for name, p in model.params.items():
+        p.data = take(name, p.data)
+        if f"adam.m.{name}" in tensors:
+            state.m[name] = take(f"adam.m.{name}", p.data)
+            state.v[name] = take(f"adam.v.{name}", p.data)
     return model, state, train_cfg, meta.get("extra", {})

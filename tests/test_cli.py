@@ -59,10 +59,51 @@ def test_eval_prints_scores(tmp_path, capsys):
     out = str(tmp_path / "run")
     cli.main(["train", "--config", cfg_path, "--out", out, "--epochs", "1"])
     capsys.readouterr()
-    rc = cli.main(["eval", "--config", cfg_path, "--out", out])
+    rc = cli.main(["eval", "--out", out])
     captured = capsys.readouterr().out
     assert rc == 0
     assert "BLEU-4" in captured and "ROUGE-L" in captured and "CIDEr" in captured
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--config", "x.json"],
+    ["eval", "--lr", "5"],
+    ["eval", "--ablate", "kw"],
+    ["generate", "--split", "train"],
+    ["grad-check", "--lr", "-1"],
+    ["grad-check", "--out", "X"],
+    ["train", "--keyword-dropout", "0.5"],
+    ["ablate", "--checkpoint", "x.ckpt"],
+], ids=" ".join)
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_empty_training_set_is_a_config_error(tmp_path, capsys):
+    path = str(tmp_path / "zero.json")
+    json.dump({"n_train": 0}, open(path, "w"))
+    rc = cli.main(["train", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "n_train" in capsys.readouterr().err
+
+
+def test_float32_train_then_eval_through_the_config(tmp_path, capsys):
+    cfg_path = _toy_config_file(tmp_path)
+    d = json.load(open(cfg_path))
+    d["dtype"] = "float32"
+    json.dump(d, open(cfg_path, "w"))
+    out = str(tmp_path / "run")
+    assert cli.main(["train", "--config", cfg_path, "--out", out, "--epochs", "1"]) == 0
+    model, state, _, _ = TR.load_checkpoint(os.path.join(out, "model.ckpt"))
+    assert model.cfg.dtype == "float32"
+    assert {p.data.dtype for p in model.params.values()} == {np.dtype(np.float32)}
+    assert {m.dtype for m in state.m.values()} == {np.dtype(np.float32)}
+    capsys.readouterr()
+    assert cli.main(["eval", "--out", out]) == 0
+    assert "BLEU-4" in capsys.readouterr().out
 
 
 def test_eval_missing_checkpoint_fails(tmp_path, capsys):
@@ -145,8 +186,7 @@ def test_keyword_dropout_flag_runs(tmp_path, capsys):
     out = str(tmp_path / "run")
     cli.main(["train", "--config", cfg_path, "--out", out, "--epochs", "1"])
     capsys.readouterr()
-    rc = cli.main(["eval", "--config", cfg_path, "--out", out,
-                   "--keyword-dropout", "0.5"])
+    rc = cli.main(["eval", "--out", out, "--keyword-dropout", "0.5"])
     assert rc == 0
 
 

@@ -42,6 +42,17 @@ def test_invalid_train_configs_rejected(kw):
         TrainConfig(**kw)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("enc_heads", 0), ("n_kv", 0), ("n_q", 0), ("image_side", 0), ("dec_d", 0),
+    ("vocab_size", 0), ("s_l", 0), ("max_report_len", -1), ("dec_layers", -1),
+    ("n_train", 0), ("n_eval", 0),
+])
+def test_non_positive_sizes_rejected(key, value):
+    # checked before the divisibility tests, so never a ZeroDivisionError
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({key: value})
+
+
 def test_odd_head_dim_rejected():
     with pytest.raises(ConfigError):
         ModelConfig(dec_d=36, n_q=4)   # head_dim 9

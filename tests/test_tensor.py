@@ -247,13 +247,22 @@ def test_grad_check_rejects_bad_h():
         T.grad_check(lambda t: t.sum(), Tensor(np.ones(2)), h=1.0)
 
 
-def test_float32_mode_round_trip():
-    T.set_default_dtype(np.float32)
-    try:
-        assert Tensor(np.zeros(2)).data.dtype == np.float32
-    finally:
-        T.set_default_dtype(np.float64)
-    assert Tensor(np.zeros(2)).data.dtype == np.float64
+def test_tensor_keeps_float32_and_widens_the_rest():
+    assert Tensor(np.zeros(2, dtype=np.float32)).data.dtype == np.float32
+    for data in (np.zeros(2), np.arange(3), np.array([True, False]), [1, 2], 1.5,
+                 np.float64(2.0), np.zeros(2, dtype=np.float16)):
+        assert Tensor(data).data.dtype == np.float64, data
+
+
+def test_scalar_operands_take_the_tensor_dtype():
+    for dtype in (np.float32, np.float64):
+        x = Tensor(np.array([[1.0, -2.0, 3.0]], dtype=dtype), requires_grad=True)
+        g = Tensor(np.ones(3, dtype=dtype))
+        outs = [x + 1.0, 1.0 - x, x * 2.0, 2.0 * x, x / 3.0, -x, x.mean(),
+                x + np.ones(3), T.layer_norm(x, g, g), T.rms_norm(x, g)]
+        assert {o.data.dtype for o in outs} == {np.dtype(dtype)}
+        sum(o.sum() for o in outs).backward()
+        assert x.grad.dtype == dtype
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,7 +9,7 @@ import pytest
 
 from fusegen import data as D
 from fusegen import training as TR
-from fusegen.config import TrainConfig
+from fusegen.config import ConfigError, TrainConfig
 from fusegen.model import ReportModel
 from fusegen.tensor import Tensor
 from fusegen.verify import toy_config
@@ -211,6 +211,14 @@ def _with_meta(meta):
     return corrupt
 
 
+def _set_meta_value(key, value):
+    def corrupt(body):
+        meta = json.loads(body[12:_meta_end(body)])
+        meta[key] = value
+        return _with_meta(json.dumps(meta).encode())(body)
+    return corrupt
+
+
 def _drop_meta_key(key):
     def corrupt(body):
         meta = json.loads(body[12:_meta_end(body)])
@@ -233,6 +241,11 @@ def _set_config_value(key, value):
     return corrupt
 
 
+def _drop_adam_v_twin(body):
+    # the first adam.v.* record gets a name no parameter has
+    return body.replace(b"adam.v.", b"adam.x.", 1)
+
+
 @pytest.mark.parametrize("corrupt", [
     _unknown_dtype_tag,
     _with_meta(b"not json"),
@@ -240,12 +253,16 @@ def _set_config_value(key, value):
     _with_meta(b"[1, 2]"),
     _drop_meta_key("config"),
     _drop_meta_key("adam_step"),
+    _set_meta_value("adam_step", "1"),
     _set_config_value("lr", "abc"),
     _set_config_value("use_keywords", "no"),
     _set_config_value("bogus", 1),
+    _set_config_value("dtype", "float32"),
+    _drop_adam_v_twin,
 ], ids=["unknown-dtype-tag", "meta-not-json", "meta-not-utf8", "meta-not-object",
-        "meta-lacks-config", "meta-lacks-adam-step", "config-str-float",
-        "config-str-bool", "config-unknown-key"])
+        "meta-lacks-config", "meta-lacks-adam-step", "adam-step-str", "config-str-float",
+        "config-str-bool", "config-unknown-key", "config-dtype-mismatch",
+        "adam-v-missing"])
 def test_checkpoint_malformed_body_raises_checkpoint_error(tmp_path, corrupt):
     # each corrupted body gets a fresh CRC, so only the parser can catch it
     model, state, _, tc = _tiny_run(1)
@@ -255,3 +272,99 @@ def test_checkpoint_malformed_body_raises_checkpoint_error(tmp_path, corrupt):
     p.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
     with pytest.raises(TR.CheckpointError):
         TR.load_checkpoint(str(p))
+
+
+def _fuzz_offsets(body, n_records=12):
+    """Byte offsets of the header, the meta, and the first record headers."""
+    offsets = list(range(_meta_end(body) + 4))
+    off = _meta_end(body) + 4
+    for _ in range(n_records):
+        name_len = struct.unpack_from("<I", body, off)[0]
+        tag, rank = body[off + 4 + name_len], body[off + 5 + name_len]
+        header = 4 + name_len + 2 + 4 * rank
+        shape = struct.unpack_from(f"<{rank}I", body, off + 6 + name_len)
+        offsets += range(off, off + header)
+        off += header + int(np.prod(shape)) * TR._TAG_DTYPES[tag].itemsize
+    return offsets
+
+
+def test_checkpoint_byte_flips_raise_only_package_errors(tmp_path):
+    # every flip is re-CRC'd, so the parser itself must reject or accept it
+    model, state, _, tc = _tiny_run(1)
+    p = tmp_path / "f.ckpt"
+    TR.save_checkpoint(model, state, tc, str(p))
+    body = p.read_bytes()[:-4]
+    offsets = _fuzz_offsets(body)
+    assert len(offsets) > 500
+    for i in offsets:
+        flipped = bytearray(body)
+        flipped[i] ^= 0xFF
+        p.write_bytes(bytes(flipped) + struct.pack("<I", zlib.crc32(flipped) & 0xFFFFFFFF))
+        try:
+            TR.load_checkpoint(str(p))
+        except (TR.CheckpointError, ConfigError):
+            pass
+
+
+# ---------------------------------------------------------------------
+# per-model dtype
+# ---------------------------------------------------------------------
+
+def _tape_nodes(root):
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._children)
+    return nodes
+
+
+def _warmup_cosine_run(dtype, n_steps, model=None):
+    cfg = toy_config(dtype=dtype)
+    model = model or ReportModel(cfg)
+    samples = D.synth_generate(16, seed=3, side=cfg.image_side)
+    tc = TrainConfig(batch_size=4, lr=1e-3, scheduler="warmup_cosine", seed=0)
+    state, hist = TR.run_training(model, samples, D.default_vocab(), tc,
+                                  n_steps=n_steps, max_len=10)
+    return model, state, hist, samples
+
+
+def test_float32_model_stays_float32():
+    f32 = np.dtype(np.float32)
+    model = ReportModel(toy_config(dtype="float32"))
+    cfg = model.cfg
+    batch = D.make_batch(D.synth_generate(4, seed=3, side=cfg.image_side),
+                         D.default_vocab(), cfg.s_l, 10)
+    nodes = _tape_nodes(model.losses(batch, 0.5).total)
+    assert len(nodes) > 300
+    assert {n.data.dtype for n in nodes} == {f32}
+    _, state, _, _ = _warmup_cosine_run("float32", 3, model=model)
+    assert {p.data.dtype for p in model.params.values()} == {f32}
+    assert {p.grad.dtype for p in model.params.values()} == {f32}
+    assert {a.dtype for a in [*state.m.values(), *state.v.values()]} == {f32}
+    assert len(state.m) == len(model.params)
+
+
+def test_float32_loss_log_tracks_float64():
+    logs = {}
+    for dtype in ("float64", "float32"):
+        _, _, hist, _ = _warmup_cosine_run(dtype, 30)
+        logs[dtype] = np.array([(h.l_ce, h.l_align, h.l_total) for h in hist])
+    np.testing.assert_allclose(logs["float32"], logs["float64"], rtol=1e-5)
+
+
+def test_float32_checkpoint_round_trip_bitwise(tmp_path):
+    model, state, _, _ = _warmup_cosine_run("float32", 2)
+    tc = TrainConfig(batch_size=4)
+    p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+    TR.save_checkpoint(model, state, tc, p1)
+    m2, s2, tc2, _ = TR.load_checkpoint(p1)
+    assert m2.cfg.dtype == "float32"
+    for name, p in model.params.items():
+        assert m2.params[name].data.dtype == np.float32
+        np.testing.assert_array_equal(p.data, m2.params[name].data)
+        assert s2.m[name].dtype == s2.v[name].dtype == np.float32
+    TR.save_checkpoint(m2, s2, tc2, p2)
+    assert open(p1, "rb").read() == open(p2, "rb").read()
