@@ -81,15 +81,9 @@ def rope_apply(x: Tensor, start_pos: int = 0) -> Tensor:
     hd = x.shape[-1]
     if hd % 2 != 0:
         raise ConfigError(f"head_dim must be even for rotary embeddings, got {hd}")
-    cos, sin = (Tensor(t.astype(x.data.dtype, copy=False))
+    cos, sin = (t.astype(x.data.dtype, copy=False)
                 for t in _rope_tables(start_pos, x.shape[-2], hd))
-    xr = x[..., 0::2]
-    xi = x[..., 1::2]
-    out_r = xr * cos - xi * sin
-    out_i = xr * sin + xi * cos
-    pair_shape = out_r.shape + (1,)
-    stacked = T.concat([out_r.reshape(pair_shape), out_i.reshape(pair_shape)], axis=-1)
-    return stacked.reshape(x.shape)
+    return T.rotate_pairs(x, cos, sin)
 
 
 # ---------------------------------------------------------------------
@@ -317,9 +311,9 @@ def cross_entropy(logits: Tensor, target_ids: np.ndarray,
     if mask is None:
         mask = np.ones((n, t), dtype=bool)
     mask = np.asarray(mask, dtype=bool)
-    probs = T.softmax_rows(logits)
+    logp = T.log_softmax(logits)
     ni, ti = np.nonzero(mask)
-    nll = -T.log(probs[ni, ti, targets[ni, ti]])
+    nll = -logp[ni, ti, targets[ni, ti]]
     total = nll.sum()
     per_token = total * (1.0 / max(1, len(ni)))
     return total, per_token

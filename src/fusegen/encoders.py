@@ -60,8 +60,14 @@ def _patch_merge(x: Tensor) -> Tensor:
 
 
 def encode_image(images, params: dict, cfg: ModelConfig) -> VisualFeatures:
-    """Map (N, side, side, C) images to a (N, S_V, E_V) feature grid."""
+    """Map (N, side, side, C) images to a (N, S_V, E_V) feature grid.
+
+    Arrays are cast to ``cfg.dtype``; a Tensor (which may carry a gradient)
+    must already have that dtype.
+    """
     x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=cfg.dtype))
+    if x.data.dtype != cfg.dtype:
+        raise ConfigError(f"image tensor is {x.data.dtype}, the model runs in {cfg.dtype}")
     if x.ndim == 3:
         x = x.reshape(1, *x.shape)
     n, side, side2, c = x.shape

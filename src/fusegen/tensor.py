@@ -29,8 +29,10 @@ __all__ = [
     "gelu",
     "silu",
     "softmax_rows",
+    "log_softmax",
     "layer_norm",
     "rms_norm",
+    "rotate_pairs",
     "embedding",
     "mask_fill",
     "grad_check",
@@ -103,9 +105,12 @@ class Tensor:
         return Tensor(self.data.copy())
 
     def _accum(self, g: np.ndarray) -> None:
+        # first touch copies: ops hand the same g (or views of it) to several
+        # operands, and clip_global_norm scales grads in place
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     # -- autodiff ------------------------------------------------------
     def backward(self) -> None:
@@ -346,13 +351,9 @@ def tanh(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # stable two-branch form; exact 0 at -inf
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # stable two-branch form on e = exp(-|x|) <= 1; exact 0 at -inf
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -370,12 +371,12 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     data = 0.5 * x * (1.0 + t)
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
         d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
         a._accum(g * d)
 
@@ -404,13 +405,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
     data = np.matmul(a.data, b.data)
 
+    # a 2-D b under a batched a: each gradient is one GEMM over the
+    # flattened batch, instead of N matmuls (plus a sum over N for b)
+    flat = b.ndim == 2 and a.ndim > 2
+
     def backward(g):
         if _needs_tape(a):
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accum(_unbroadcast(ga, a.shape))
+            if flat:
+                a._accum((g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape))
+            else:
+                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+                a._accum(_unbroadcast(ga, a.shape))
         if _needs_tape(b):
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accum(_unbroadcast(gb, b.shape))
+            if flat:
+                b._accum(a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            else:
+                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+                b._accum(_unbroadcast(gb, b.shape))
 
     return _make(data, (a, b), backward)
 
@@ -474,10 +485,15 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def getitem(a: Tensor, idx) -> Tensor:
     data = a.data[idx]
+    basic = all(type(i) in (int, slice) or i is Ellipsis
+                for i in (idx if type(idx) is tuple else (idx,)))
 
     def backward(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        if basic:
+            full[idx] = g   # a basic index hits each element at most once
+        else:
+            np.add.at(full, idx, g)
         a._accum(full)
 
     return _make(data, (a,), backward)
@@ -513,6 +529,15 @@ def mask_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
 # normalizations
 # ---------------------------------------------------------------------
 
+def _row_max(d: np.ndarray, op: str) -> np.ndarray:
+    """Trailing-axis max, keepdims. A NaN or +inf entry makes its row's max
+    NaN or +inf, so checking the maxima checks the whole input."""
+    m = d.max(axis=-1, keepdims=True)
+    if np.isnan(m).any() or np.isposinf(m).any():
+        raise NonFiniteError(f"{op}: NaN or +inf in input")
+    return m
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the trailing axis, stabilized by max-subtraction.
 
@@ -520,9 +545,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     +inf inputs raise NonFiniteError.
     """
     d = x.data
-    if np.isnan(d).any() or np.isposinf(d).any():
-        raise NonFiniteError("softmax_rows: NaN or +inf in input")
-    m = d.max(axis=-1, keepdims=True)
+    m = _row_max(d, "softmax_rows")
     e = np.exp(d - m)
     s = e / e.sum(axis=-1, keepdims=True)
 
@@ -533,20 +556,79 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _make(s, (x,), backward)
 
 
+def log_softmax(x: Tensor) -> Tensor:
+    """log(softmax(x)) over the trailing axis as one log-sum-exp node.
+
+    Finite for any finite input, however large the gap between entries.
+    -inf entries stay -inf; NaN or +inf inputs raise NonFiniteError.
+    """
+    d = x.data
+    z = d - _row_max(d, "log_softmax")
+    out = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+    def backward(g):
+        x._accum(g - np.exp(out) * g.sum(axis=-1, keepdims=True))
+
+    return _make(out, (x,), backward)
+
+
+def _inv_rms(v: np.ndarray, eps: float) -> np.ndarray:
+    """(mean(v^2, trailing axis) + eps)^-1/2, keepdims."""
+    return ((v * v).sum(axis=-1, keepdims=True) * (1.0 / v.shape[-1]) + eps) ** -0.5
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row (trailing axis) standardization followed by gain and bias."""
-    mu = mean_(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
-    var = mean_(mul(xc, xc), axis=-1, keepdims=True)
-    inv = pow_const(add(var, _as_tensor(eps, x)), -0.5)
-    return add(mul(mul(xc, inv), gain), bias)
+    d = x.data
+    xc = d - d.sum(axis=-1, keepdims=True) * (1.0 / d.shape[-1])
+    inv = _inv_rms(xc, eps)
+    xhat = xc * inv
+
+    def backward(g):
+        if _needs_tape(x):
+            gh = g * gain.data
+            x._accum(inv * (gh - gh.mean(axis=-1, keepdims=True)
+                            - xhat * (gh * xhat).mean(axis=-1, keepdims=True)))
+        if _needs_tape(gain):
+            gain._accum(_unbroadcast(g * xhat, gain.shape))
+        if _needs_tape(bias):
+            bias._accum(_unbroadcast(g, bias.shape))
+
+    return _make(xhat * gain.data + bias.data, (x, gain, bias), backward)
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     """x / sqrt(mean(x^2) + eps) over the trailing axis, then elementwise gain."""
-    ms = mean_(mul(x, x), axis=-1, keepdims=True)
-    inv = pow_const(add(ms, _as_tensor(eps, x)), -0.5)
-    return mul(mul(x, inv), gain)
+    inv = _inv_rms(x.data, eps)
+    xhat = x.data * inv
+
+    def backward(g):
+        if _needs_tape(x):
+            gh = g * gain.data
+            x._accum(inv * (gh - xhat * (gh * xhat).mean(axis=-1, keepdims=True)))
+        if _needs_tape(gain):
+            gain._accum(_unbroadcast(g * xhat, gain.shape))
+
+    return _make(xhat * gain.data, (x, gain), backward)
+
+
+def rotate_pairs(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotate each adjacent pair (x[2k], x[2k+1]) of the trailing axis by the
+    angle whose cosine and sine are ``cos[..., k]``/``sin[..., k]``; the
+    tables broadcast against x's leading axes. The backward pass is the
+    inverse rotation."""
+
+    def rotate(v, s):
+        out = np.empty_like(v)
+        vr, vi = v[..., 0::2], v[..., 1::2]
+        out[..., 0::2] = vr * cos - vi * s
+        out[..., 1::2] = vr * s + vi * cos
+        return out
+
+    def backward(g):
+        x._accum(rotate(g, -sin))
+
+    return _make(rotate(x.data, sin), (x,), backward)
 
 
 # ---------------------------------------------------------------------

@@ -51,10 +51,13 @@ def adam_update(params: Dict[str, Tensor], grads: Dict[str, np.ndarray],
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        state.m[name] = ADAM_B1 * state.m[name] + (1 - ADAM_B1) * g
-        state.v[name] = ADAM_B2 * state.v[name] + (1 - ADAM_B2) * g * g
-        m_hat = state.m[name] / (1 - ADAM_B1 ** t)
-        v_hat = state.v[name] / (1 - ADAM_B2 ** t)
+        m, v = state.m[name], state.v[name]
+        m *= ADAM_B1
+        m += (1 - ADAM_B1) * g
+        v *= ADAM_B2
+        v += (1 - ADAM_B2) * g * g
+        m_hat = m / (1 - ADAM_B1 ** t)
+        v_hat = v / (1 - ADAM_B2 ** t)
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
@@ -218,6 +221,8 @@ def load_checkpoint(path: str):
         dtype = _TAG_DTYPES.get(tag)
         if dtype is None:
             raise CheckpointError(f"unknown dtype tag {tag} for {name}")
+        if name in tensors:
+            raise CheckpointError(f"duplicate tensor record {name}")
         payload, off = _read(buf, off, math.prod(shape) * dtype.itemsize)
         try:
             tensors[name] = np.frombuffer(payload, dtype=dtype.newbyteorder("<")) \
@@ -240,10 +245,14 @@ def load_checkpoint(path: str):
                                   f"expects {like.dtype}{like.shape}")
         return arr
 
+    unknown = tensors.keys() - {f"{pre}{name}" for name in model.params
+                                for pre in ("", "adam.m.", "adam.v.")}
+    if unknown:
+        raise CheckpointError(f"checkpoint has records no parameter owns: {sorted(unknown)}")
     state = AdamState(step=adam_step)
     for name, p in model.params.items():
         p.data = take(name, p.data)
-        if f"adam.m.{name}" in tensors:
+        if f"adam.m.{name}" in tensors or f"adam.v.{name}" in tensors:
             state.m[name] = take(f"adam.m.{name}", p.data)
             state.v[name] = take(f"adam.v.{name}", p.data)
     return model, state, train_cfg, meta.get("extra", {})

@@ -118,6 +118,18 @@ def test_info_nce_orthonormal_three_way():
     assert loss.item() == pytest.approx(expect, abs=1e-9)
 
 
+def test_info_nce_finite_at_temperature_floor():
+    # opposing unit vectors at tau = 1e-3: logits of +-1000 underflow exp()
+    f = Tensor(np.array([[1.0, 0.0], [-1.0, 0.0]]), requires_grad=True)
+    r = Tensor(np.array([[-1.0, 0.0], [1.0, 0.0]]), requires_grad=True)
+    tau = Tensor(np.array([AL.TEMPERATURE_FLOOR]), requires_grad=True)
+    loss = AL.info_nce(f, r, tau)
+    assert loss.item() == pytest.approx(2000.0, rel=1e-12)
+    loss.backward()
+    for t in (f, r, tau):
+        assert np.isfinite(t.grad).all()
+
+
 def test_info_nce_shape_mismatch_raises():
     with pytest.raises(ShapeError):
         AL.info_nce(Tensor(np.eye(3)), Tensor(np.eye(4)), Tensor(np.array([1.0])))

@@ -288,6 +288,18 @@ def test_cross_entropy_matches_numpy_oracle():
     assert per_tok.item() == pytest.approx(expect / mask.sum(), rel=1e-9)
 
 
+@pytest.mark.parametrize("dtype, gap", [(np.float64, 800.0), (np.float32, 105.0)])
+def test_cross_entropy_finite_at_large_logit_gap(dtype, gap):
+    # exp(-gap) underflows to 0, so log(softmax) would give inf
+    logits = Tensor(np.array([[[0.0, gap, 0.0]]], dtype=dtype), requires_grad=True)
+    total, _ = DEC.cross_entropy(logits, np.array([[0]]))
+    assert total.data.dtype == dtype
+    assert total.item() == pytest.approx(gap, rel=1e-6)
+    total.backward()
+    assert logits.grad.dtype == dtype
+    np.testing.assert_allclose(logits.grad[0, 0], [-1.0, 1.0, 0.0], atol=1e-6)
+
+
 def test_cross_entropy_rejects_bad_targets():
     logits = Tensor(np.zeros((1, 2, 4)))
     with pytest.raises(IndexError):

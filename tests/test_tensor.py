@@ -7,7 +7,9 @@ behavior (broadcasting, tape reuse, masking) is checked directly.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from op_oracles import composed_layer_norm, composed_log_softmax, composed_rms_norm, composed_rope
 
+from fusegen import decoder as DEC
 from fusegen import tensor as T
 from fusegen.tensor import NonFiniteError, ShapeError, Tensor
 
@@ -112,6 +114,17 @@ def test_concat_grad():
     np.testing.assert_allclose(b.grad, r[:, 2:])
 
 
+@pytest.mark.parametrize("idx", [np.s_[1:3], np.s_[..., 1], np.s_[2], np.s_[::2, 1:],
+                                 np.s_[[0, 2, 0]], np.s_[np.array([3, 1]), 1:]])
+def test_getitem_grad_matches_add_at(idx):
+    x = Tensor(RNG.normal(0, 1, (4, 3)), requires_grad=True)
+    r = RNG.normal(0, 1, x.data[idx].shape)
+    (x[idx] * Tensor(r)).sum().backward()
+    expect = np.zeros((4, 3))
+    np.add.at(expect, idx, r)
+    np.testing.assert_array_equal(x.grad, expect)
+
+
 def test_getitem_fancy_index_accumulates():
     # repeated indices must sum their gradients
     x = Tensor(RNG.normal(0, 1, (4, 3)), requires_grad=True)
@@ -188,6 +201,82 @@ def test_rms_norm_matches_numpy_and_grad():
     np.testing.assert_allclose(out, ref * g.data, atol=1e-12)
     r = Tensor(RNG.normal(0, 1, (4, 6)))
     assert _gc(lambda t: (T.rms_norm(t, g) * r).sum(), x) < TOL
+
+
+def test_log_softmax_stays_finite_at_large_gaps():
+    x = Tensor(np.array([[0.0, 800.0, 0.0], [-np.inf, 1.0, 2.0]]), requires_grad=True)
+    out = T.log_softmax(x)
+    np.testing.assert_allclose(out.data[0], [-800.0, 0.0, -800.0])
+    assert out.data[1, 0] == -np.inf
+    np.testing.assert_allclose(np.exp(out.data).sum(axis=-1), 1.0)
+    (out[0, 0] + out[1, 2]).backward()
+    assert np.isfinite(x.grad).all()
+    with pytest.raises(NonFiniteError):
+        T.log_softmax(Tensor(np.array([0.0, np.nan])))
+
+
+# ---------------------------------------------------------------------
+# fused ops against the composed forms they replace
+# ---------------------------------------------------------------------
+
+_FUSED = {
+    # name: (fused op, composed oracle, parameter shapes)
+    "rms_norm": (lambda x, p: T.rms_norm(x, p["g"]),
+                 lambda x, p: composed_rms_norm(x, p["g"]), {"g": (6,)}),
+    "layer_norm": (lambda x, p: T.layer_norm(x, p["g"], p["b"]),
+                   lambda x, p: composed_layer_norm(x, p["g"], p["b"]), {"g": (6,), "b": (6,)}),
+    "rope_apply": (lambda x, p: DEC.rope_apply(x, 3),
+                   lambda x, p: composed_rope(x, 3), {}),
+    "log_softmax": (lambda x, p: T.log_softmax(x),
+                    lambda x, p: composed_log_softmax(x), {}),
+}
+_BITWISE = {"rms_norm", "layer_norm", "rope_apply"}
+
+
+def _fused_case(name, dtype=np.float64):
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(0, 2, (2, 3, 5, 6)).astype(dtype), requires_grad=True)
+    params = {k: Tensor(rng.normal(1, 0.3, shape).astype(dtype), requires_grad=True)
+              for k, shape in _FUSED[name][2].items()}
+    r = Tensor(rng.normal(0, 1, x.shape).astype(dtype))
+    return x, params, r
+
+
+def _grads(op, x, params, r):
+    for t in (x, *params.values()):
+        t.grad = None
+    out = op(x, params)
+    (out * r).sum().backward()
+    return out.data, {"x": x.grad, **{k: p.grad for k, p in params.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(_FUSED))
+def test_fused_op_matches_composed_form(name):
+    fused, composed, _ = _FUSED[name]
+    x, params, r = _fused_case(name)
+    out_f, grads_f = _grads(fused, x, params, r)
+    out_c, grads_c = _grads(composed, x, params, r)
+    if name in _BITWISE:
+        np.testing.assert_array_equal(out_f, out_c)
+    np.testing.assert_allclose(out_f, out_c, rtol=1e-13, atol=1e-14)
+    for k in grads_c:
+        np.testing.assert_allclose(grads_f[k], grads_c[k], rtol=1e-10, atol=1e-12, err_msg=k)
+
+
+@pytest.mark.parametrize("name", sorted(_FUSED))
+def test_fused_op_grad_check(name):
+    fused = _FUSED[name][0]
+    x, params, r = _fused_case(name)
+    err = T.grad_check_params(lambda: (fused(x, params) * r).sum(), {"x": x, **params})
+    assert err < TOL
+
+
+@pytest.mark.parametrize("name", sorted(_FUSED))
+def test_fused_op_keeps_float32(name):
+    x, params, r = _fused_case(name, dtype=np.float32)
+    out, grads = _grads(_FUSED[name][0], x, params, r)
+    assert out.dtype == np.float32
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
 
 
 # ---------------------------------------------------------------------
