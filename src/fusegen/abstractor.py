@@ -7,7 +7,6 @@ are row-concatenated, visual-derived rows first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -65,14 +64,9 @@ def bidirectional_cross_attention(
     """
     if v_p.shape[-1] != l_p.shape[-1]:
         raise T.ShapeError(f"shared dims differ: {v_p.shape} vs {l_p.shape}")
-    scale = 1.0 / math.sqrt(v_p.shape[-1])
-    km = None
-    if l_mask is not None:
-        km = np.asarray(l_mask, dtype=bool)[:, None, :]
-    w_v2l = nn.attn_normalize(T.matmul(v_p, l_p.swapaxes(-1, -2)) * scale, mode, km)
-    w_l2v = nn.attn_normalize(T.matmul(l_p, v_p.swapaxes(-1, -2)) * scale, mode, None)
-    v2l = T.matmul(w_v2l, l_p)
-    l2v = T.matmul(w_l2v, v_p)
+    km = None if l_mask is None else np.asarray(l_mask, dtype=bool)[:, None, :]
+    v2l, w_v2l = nn.attention(v_p, l_p, l_p, mode, km)
+    l2v, w_l2v = nn.attention(l_p, v_p, v_p, mode)
     if return_weights:
         return (v2l, l2v), (w_v2l, w_l2v)
     return v2l, l2v

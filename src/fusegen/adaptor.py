@@ -93,14 +93,9 @@ def decoupled_attention(
     v = T.concat([T.matmul(x_v, params["adp.w_vv"]), T.matmul(x_l, params["adp.w_vl"])], axis=-2)
     km = None
     if l_mask is not None:
-        full = np.concatenate(
-            [np.ones((x_v.shape[0], x_v.shape[1]), dtype=bool), np.asarray(l_mask, dtype=bool)],
-            axis=1,
-        )
-        km = full[:, None, :]
-    scale = 1.0 / math.sqrt(cfg.p)
-    w = nn.attn_normalize(T.matmul(q, k.swapaxes(-1, -2)) * scale, cfg.attn_norm, km)
-    return T.matmul(w, v)
+        vis = np.ones(x_v.shape[:2], dtype=bool)
+        km = np.concatenate([vis, np.asarray(l_mask, dtype=bool)], axis=1)[:, None, :]
+    return nn.attention(q, k, v, cfg.attn_norm, km)[0]
 
 
 def adaptor_forward(

@@ -54,18 +54,21 @@ def l2_normalize(x: Tensor, eps: float = 1e-12):
     return out, degenerate
 
 
+def _masked_mean(x: Tensor, mask: Optional[np.ndarray]) -> Tensor:
+    """Mean of (N, S, D) over S, counting only rows where ``mask`` is True."""
+    if mask is None:
+        return x.mean(axis=-2)
+    m = np.asarray(mask, dtype=x.data.dtype)
+    return (x * m[:, :, None]).sum(axis=-2) * (1.0 / m.sum(axis=1))[:, None]
+
+
 def pool_fusion(
     f: Tensor,
     params: dict,
     row_mask: Optional[np.ndarray] = None,
 ) -> PooledEmbedding:
     """Mean over valid rows of the fused (N, S, P) sequence, then project."""
-    if row_mask is None:
-        pooled = f.mean(axis=-2)
-    else:
-        m = np.asarray(row_mask, dtype=f.data.dtype)
-        pooled = (f * m[:, :, None]).sum(axis=-2) * (1.0 / m.sum(axis=1))[:, None]
-    proj = nn.linear(pooled, params["aln.pool.w"], params["aln.pool.b"])
+    proj = nn.linear(_masked_mean(f, row_mask), params["aln.pool.w"], params["aln.pool.b"])
     emb, degenerate = l2_normalize(proj)
     return PooledEmbedding(emb=emb, degenerate=degenerate)
 
@@ -81,12 +84,7 @@ def embed_report(report_ids: np.ndarray, params: dict,
     if mask is not None and not np.asarray(mask).any(axis=1).all():
         raise ValueError("a report has no unmasked tokens")
     x = T.embedding(params["aln.rep.embed"], ids)
-    if mask is None:
-        pooled = x.mean(axis=-2)
-    else:
-        m = np.asarray(mask, dtype=x.data.dtype)
-        pooled = (x * m[:, :, None]).sum(axis=-2) * (1.0 / m.sum(axis=1))[:, None]
-    proj = nn.linear(pooled, params["aln.rep.w"], params["aln.rep.b"])
+    proj = nn.linear(_masked_mean(x, mask), params["aln.rep.w"], params["aln.rep.b"])
     emb, degenerate = l2_normalize(proj)
     return PooledEmbedding(emb=emb, degenerate=degenerate)
 

@@ -113,32 +113,21 @@ def cmd_train(args) -> int:
     vocab, train_samples, _ = _build_data(model_cfg, train_cfg)
     model = ReportModel(model_cfg)
     steps_per_epoch = max(1, math.ceil(len(train_samples) / train_cfg.batch_size))
-    state = TR.AdamState()
-    log_path = os.path.join(out, "metrics.jsonl")
-    with open(log_path, "w", encoding="utf-8") as log:
-        step = 0
+    # one run, so the lr schedule spans every epoch; epochs are history slices
+    state, hist = TR.run_training(model, train_samples, vocab, train_cfg,
+                                  n_steps=train_cfg.epochs * steps_per_epoch,
+                                  max_len=args.max_len)
+    with open(os.path.join(out, "metrics.jsonl"), "w", encoding="utf-8") as log:
         for epoch in range(train_cfg.epochs):
-            epoch_hist = []
-            state, hist = TR.run_training(
-                model, train_samples, vocab, train_cfg,
-                n_steps=steps_per_epoch, state=state, start_step=step,
-                max_len=args.max_len)
-            step += steps_per_epoch
-            epoch_hist.extend(hist)
-            rec = {
-                "epoch": epoch,
-                "step": step,
-                "l_ce": sum(h.l_ce for h in epoch_hist) / len(epoch_hist),
-                "l_ce_per_token": sum(h.l_ce_per_token for h in epoch_hist) / len(epoch_hist),
-                "l_align": sum(h.l_align for h in epoch_hist) / len(epoch_hist),
-                "l_total": sum(h.l_total for h in epoch_hist) / len(epoch_hist),
-            }
+            part = hist[epoch * steps_per_epoch:(epoch + 1) * steps_per_epoch]
+            rec = {"epoch": epoch, "step": (epoch + 1) * steps_per_epoch}
+            for key in ("l_ce", "l_ce_per_token", "l_align", "l_total"):
+                rec[key] = sum(getattr(h, key) for h in part) / len(part)
             log.write(json.dumps(rec, sort_keys=True) + "\n")
-            log.flush()
             print(f"epoch {epoch}: L_total={rec['l_total']:.4f} "
                   f"L_ce/tok={rec['l_ce_per_token']:.4f} L_align={rec['l_align']:.4f}")
     TR.save_checkpoint(model, state, train_cfg, _ckpt_path(args),
-                       extra={"steps": step})
+                       extra={"steps": len(hist)})
     print(f"checkpoint written to {_ckpt_path(args)}")
     return 0
 

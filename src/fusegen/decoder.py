@@ -15,7 +15,6 @@ the memory.
 from __future__ import annotations
 
 import functools
-import math
 from typing import List, Optional
 
 import numpy as np
@@ -146,15 +145,12 @@ def gqa_attention(
     shares one KV head. With a cache, x must be a single new position per
     stream and the fresh K/V are appended."""
     pre = f"dec.layer{layer}.sa"
-    n, tq, d = x.shape
-    hd, n_q, n_kv = cfg.head_dim, cfg.n_q, cfg.n_kv
-    g = n_q // n_kv
+    n, tq, _ = x.shape
+    n_q, n_kv = cfg.n_q, cfg.n_kv
 
-    q = T.matmul(x, params[f"{pre}.w_q"]).reshape(n, tq, n_q, hd).transpose(0, 2, 1, 3)
-    k = T.matmul(x, params[f"{pre}.w_k"]).reshape(n, tq, n_kv, hd).transpose(0, 2, 1, 3)
-    v = T.matmul(x, params[f"{pre}.w_v"]).reshape(n, tq, n_kv, hd).transpose(0, 2, 1, 3)
-    q = rope_apply(q, start_pos)
-    k = rope_apply(k, start_pos)
+    q = rope_apply(nn.split_heads(T.matmul(x, params[f"{pre}.w_q"]), n_q), start_pos)
+    k = rope_apply(nn.split_heads(T.matmul(x, params[f"{pre}.w_k"]), n_kv), start_pos)
+    v = nn.split_heads(T.matmul(x, params[f"{pre}.w_v"]), n_kv)
 
     if cache is not None:
         if cache.length(layer) != start_pos:
@@ -163,17 +159,12 @@ def gqa_attention(
         k = Tensor(cache.k[layer])
         v = Tensor(cache.v[layer])
 
-    tk = k.shape[2]
-    q = q.reshape(n, n_kv, g, tq, hd)
-    kg = k.reshape(n, n_kv, 1, tk, hd)
-    vg = v.reshape(n, n_kv, 1, tk, hd)
-    logits = T.matmul(q, kg.transpose(0, 1, 2, 4, 3)) * (1.0 / math.sqrt(hd))
-    km = None
-    if cache is None:
-        km = ~np.triu(np.ones((tq, tk), dtype=bool), k=1)  # True = may attend
-    w = nn.attn_normalize(logits, cfg.attn_norm, km)
-    out = T.matmul(w, vg).reshape(n, n_q, tq, hd).transpose(0, 2, 1, 3).reshape(n, tq, n_q * hd)
-    return T.matmul(out, params[f"{pre}.w_o"])
+    # (N, n_kv, group, S, hd) queries against (N, n_kv, 1, S, hd) keys/values
+    tk, hd = k.shape[2], cfg.head_dim
+    km = None if cache is not None else ~np.triu(np.ones((tq, tk), dtype=bool), k=1)
+    out, _ = nn.attention(q.reshape(n, n_kv, n_q // n_kv, tq, hd), k.reshape(n, n_kv, 1, tk, hd),
+                          v.reshape(n, n_kv, 1, tk, hd), cfg.attn_norm, km)
+    return T.matmul(nn.merge_heads(out.reshape(n, n_q, tq, hd)), params[f"{pre}.w_o"])
 
 
 def cross_attention(
@@ -191,11 +182,9 @@ def cross_attention(
     With a cache, only memory rows it has not seen yet are projected.
     """
     pre = f"dec.layer{layer}.ca"
-    n, tq, d = x.shape
-    n_heads, hd = cfg.n_q, cfg.head_dim
 
     def heads(rows: Tensor, w: Tensor) -> Tensor:
-        return T.matmul(rows, w).reshape(n, -1, n_heads, hd).transpose(0, 2, 1, 3)
+        return nn.split_heads(T.matmul(rows, w), cfg.n_q)
 
     q = heads(x, params[f"{pre}.w_q"])
     if cache is None:
@@ -207,16 +196,14 @@ def cross_attention(
             cache.extend_memory(layer, heads(new, params[f"{pre}.w_k"]).data,
                                 heads(new, params[f"{pre}.w_v"]).data)
         k, v = Tensor(cache.mem_k[layer]), Tensor(cache.mem_v[layer])
-    logits = T.matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(hd))
     km = None
     if mem_mask is not None:
         km = np.asarray(mem_mask, dtype=bool)
         while km.ndim < 3:
             km = km[None]
         km = km[:, None, :, :]  # head axis
-    w = nn.attn_normalize(logits, cfg.attn_norm, km)
-    out = T.matmul(w, v).transpose(0, 2, 1, 3).reshape(n, tq, d)
-    return T.matmul(out, params[f"{pre}.w_o"])
+    out, _ = nn.attention(q, k, v, cfg.attn_norm, km)
+    return T.matmul(nn.merge_heads(out), params[f"{pre}.w_o"])
 
 
 def swiglu_ffn(x: Tensor, w1: Tensor, w2: Tensor, w3: Tensor) -> Tensor:

@@ -95,27 +95,22 @@ class ReportModel:
 
         f1 = f2 = gate = None
         parts: List[Tensor] = []
-        masks: List[np.ndarray] = []
         if cfg.use_abstractor:
             f1 = abs_mod.abstractor_forward(v_e, l_e, self.params, cfg, l_mask=kw_mask).f1
             parts.append(f1)
-            masks.append(seq_valid)
         if cfg.use_adaptor:
             out = adp_mod.adaptor_forward(v_e, l_e, self.params, cfg, l_mask=kw_mask)
             f2, gate = out.f2, out.gate
             parts.append(f2)
-            masks.append(seq_valid)
         if not parts:
             base = nn.linear(v_e, self.params["base.v.w"], self.params["base.v.b"])
             if l_e is not None:
                 base_l = nn.linear(l_e, self.params["base.l.w"], self.params["base.l.b"])
                 base = T.concat([base, base_l], axis=-2)
             parts.append(base)
-            masks.append(seq_valid)
         f = parts[0] if len(parts) == 1 else T.concat(parts, axis=-2)
-        row_mask = masks[0] if len(masks) == 1 else np.concatenate(masks, axis=1)
-        return FusionState(v_e=v_e, l_e=l_e, f1=f1, f2=f2, gate=gate,
-                           f=f, f_row_mask=row_mask)
+        return FusionState(v_e=v_e, l_e=l_e, f1=f1, f2=f2, gate=gate, f=f,
+                           f_row_mask=np.concatenate([seq_valid] * len(parts), axis=1))
 
     def _training_memory(self, state: FusionState, rep_in: np.ndarray,
                          rep_in_valid: np.ndarray):

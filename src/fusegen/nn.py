@@ -1,9 +1,9 @@
-"""Shared building blocks: parameter init, attention normalization, MHA."""
+"""Shared building blocks: parameter init, scaled dot-product attention, MHA."""
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,23 +30,29 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return y if b is None else y + b
 
 
-def attn_normalize(logits: Tensor, mode: str, key_mask: Optional[np.ndarray] = None) -> Tensor:
-    """Turn attention logits into weights over the trailing (key) axis.
+def attention(q: Tensor, k: Tensor, v: Tensor, mode: str,
+              key_mask: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
+    """Scaled dot-product attention over the trailing two axes.
 
-    mode "softmax": row-stochastic weights, masked keys get -inf logits.
-    mode "sigmoid": independent per-key gates in (0,1), masked keys zeroed.
-    ``key_mask`` is boolean, True = valid, broadcastable to ``logits``.
+    q: (..., Sq, dh), k and v: (..., Sk, dh); leading axes broadcast and the
+    logits are scaled by 1/sqrt(dh). mode "softmax": row-stochastic weights,
+    masked keys get -inf logits. mode "sigmoid": independent per-key gates in
+    (0,1), masked keys zeroed. ``key_mask`` is boolean, True = valid,
+    broadcastable to the (..., Sq, Sk) logits. Returns (out, weights).
     """
+    logits = T.matmul(q, k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    blocked = None if key_mask is None else ~np.asarray(key_mask, dtype=bool)
     if mode == "softmax":
-        if key_mask is not None:
-            logits = T.mask_fill(logits, ~np.asarray(key_mask, dtype=bool), -np.inf)
-        return T.softmax_rows(logits)
-    if mode == "sigmoid":
+        if blocked is not None:
+            logits = T.mask_fill(logits, blocked, -np.inf)
+        w = T.softmax_rows(logits)
+    elif mode == "sigmoid":
         w = T.sigmoid(logits)
-        if key_mask is not None:
-            w = T.mask_fill(w, ~np.asarray(key_mask, dtype=bool), 0.0)
-        return w
-    raise ValueError(f"unknown attention normalization {mode!r}")
+        if blocked is not None:
+            w = T.mask_fill(w, blocked, 0.0)
+    else:
+        raise ValueError(f"unknown attention normalization {mode!r}")
+    return T.matmul(w, v), w
 
 
 def init_mha(rng: np.random.Generator, d: int) -> dict:
@@ -58,13 +64,13 @@ def init_mha(rng: np.random.Generator, d: int) -> dict:
     }
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
+def split_heads(x: Tensor, n_heads: int) -> Tensor:
     # (N, S, d) -> (N, h, S, d/h)
     n, s, d = x.shape
     return x.reshape(n, s, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x: Tensor) -> Tensor:
+def merge_heads(x: Tensor) -> Tensor:
     # (N, h, S, dh) -> (N, S, h*dh)
     n, h, s, dh = x.shape
     return x.transpose(0, 2, 1, 3).reshape(n, s, h * dh)
@@ -88,14 +94,12 @@ def mha(
         raise T.ShapeError(f"model dim {d} not divisible by {n_heads} heads")
     if key_mask is not None and np.asarray(key_mask).shape[-1] != s:
         raise T.ShapeError(f"mask length {np.asarray(key_mask).shape[-1]} != sequence length {s}")
-    dh = d // n_heads
-    q = _split_heads(linear(x, params["w_q"]), n_heads)
-    k = _split_heads(linear(x, params["w_k"]), n_heads)
-    v = _split_heads(linear(x, params["w_v"]), n_heads)
-    logits = T.matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
+    q = split_heads(linear(x, params["w_q"]), n_heads)
+    k = split_heads(linear(x, params["w_k"]), n_heads)
+    v = split_heads(linear(x, params["w_v"]), n_heads)
     km = None if key_mask is None else np.asarray(key_mask, dtype=bool)[:, None, None, :]
-    w = attn_normalize(logits, mode, km)
-    return linear(_merge_heads(T.matmul(w, v)), params["w_o"])
+    out, _ = attention(q, k, v, mode, km)
+    return linear(merge_heads(out), params["w_o"])
 
 
 def sinusoidal_positions(s: int, d: int) -> np.ndarray:

@@ -101,9 +101,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def _accum(self, g: np.ndarray) -> None:
         # first touch copies: ops hand the same g (or views of it) to several
         # operands, and clip_global_norm scales grads in place
@@ -531,10 +528,12 @@ def mask_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
 
 def _row_max(d: np.ndarray, op: str) -> np.ndarray:
     """Trailing-axis max, keepdims. A NaN or +inf entry makes its row's max
-    NaN or +inf, so checking the maxima checks the whole input."""
+    NaN or +inf, and a row of only -inf (every key masked) has max -inf, so
+    checking the maxima checks the whole input."""
     m = d.max(axis=-1, keepdims=True)
-    if np.isnan(m).any() or np.isposinf(m).any():
-        raise NonFiniteError(f"{op}: NaN or +inf in input")
+    if not np.isfinite(m).all():
+        raise NonFiniteError(f"{op}: NaN or +inf in input, or a row that is all -inf "
+                             "(every entry masked)")
     return m
 
 
@@ -542,7 +541,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the trailing axis, stabilized by max-subtraction.
 
     -inf entries (masking) are allowed and get exactly zero weight; NaN or
-    +inf inputs raise NonFiniteError.
+    +inf inputs and rows of only -inf raise NonFiniteError.
     """
     d = x.data
     m = _row_max(d, "softmax_rows")
@@ -560,7 +559,8 @@ def log_softmax(x: Tensor) -> Tensor:
     """log(softmax(x)) over the trailing axis as one log-sum-exp node.
 
     Finite for any finite input, however large the gap between entries.
-    -inf entries stay -inf; NaN or +inf inputs raise NonFiniteError.
+    -inf entries stay -inf; NaN or +inf inputs and rows of only -inf raise
+    NonFiniteError.
     """
     d = x.data
     z = d - _row_max(d, "log_softmax")

@@ -119,3 +119,14 @@ def test_forward_grad_check(mode):
         return (A.abstractor_forward(v, l_e, params, cfg).f1 * r).sum()
 
     assert T.grad_check(f, v_e) < 1e-6
+
+
+def test_sigmoid_fully_masked_row_gets_zero_weights():
+    # softmax raises on a row with every key masked; sigmoid gates stay defined
+    cfg, params, v_e, l_e = _setup("sigmoid")
+    v_p, l_p = A.project_modalities(v_e, l_e, params)
+    l_mask = np.array([[False, False, False], [True, True, False]])
+    (v2l, _), (w_v2l, _) = A.bidirectional_cross_attention(
+        v_p, l_p, "sigmoid", l_mask=l_mask, return_weights=True)
+    assert (w_v2l.data[0] == 0.0).all() and (v2l.data[0] == 0.0).all()
+    assert (w_v2l.data[1, :, :2] > 0).all() and (w_v2l.data[1, :, 2] == 0.0).all()

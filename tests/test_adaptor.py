@@ -88,15 +88,17 @@ def test_decoupled_attention_straight_line_oracle():
 
 
 def test_language_mask_blocks_padded_keys():
-    cfg, params, v_e, l_e = _setup()
-    l_mask = np.zeros((2, cfg.s_l), dtype=bool)
-    l_mask[:, :2] = True
-    a = AD.adaptor_forward(v_e, l_e, params, cfg, l_mask=l_mask).f2.data
-    l2 = Tensor(l_e.data.copy())
-    l2.data[:, 2:] += 5.0       # only padded keyword rows change
-    b = AD.adaptor_forward(v_e, l2, params, cfg, l_mask=l_mask).f2.data
-    # rows that query from the visual segment and valid language rows agree
-    np.testing.assert_allclose(a[:, :cfg.s_v + 2], b[:, :cfg.s_v + 2], atol=1e-12)
+    for mode in ("softmax", "sigmoid"):
+        cfg, params, v_e, l_e = _setup(mode)
+        l_mask = np.zeros((2, cfg.s_l), dtype=bool)
+        l_mask[:, :2] = True
+        a = AD.adaptor_forward(v_e, l_e, params, cfg, l_mask=l_mask).f2.data
+        l2 = Tensor(l_e.data.copy())
+        l2.data[:, 2:] += 5.0       # only padded keyword rows change
+        b = AD.adaptor_forward(v_e, l2, params, cfg, l_mask=l_mask).f2.data
+        # rows that query from the visual segment and valid language rows agree
+        np.testing.assert_allclose(a[:, :cfg.s_v + 2], b[:, :cfg.s_v + 2], atol=1e-12,
+                                   err_msg=mode)
 
 
 def test_zero_visual_gate_makes_f2_image_independent():

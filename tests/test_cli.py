@@ -40,6 +40,27 @@ def test_train_writes_artifacts(tmp_path, capsys):
     assert records[1]["l_total"] < records[0]["l_total"] * 1.5
 
 
+def test_train_runs_one_lr_schedule_across_epochs(tmp_path, monkeypatch):
+    cfg_path = _toy_config_file(tmp_path)
+    lrs = []
+    real_step = TR.train_step
+
+    def spy(*args, lr, **kwargs):
+        lrs.append(lr)
+        return real_step(*args, lr=lr, **kwargs)
+
+    monkeypatch.setattr(TR, "train_step", spy)
+    out = str(tmp_path / "run")
+    rc = cli.main(["train", "--config", cfg_path, "--out", out, "--epochs", "3",
+                   "--samples", "12", "--scheduler", "warmup_cosine"])
+    assert rc == 0
+    _, train_cfg = load_config(os.path.join(out, "config.json"))
+    assert train_cfg.scheduler == "warmup_cosine" and train_cfg.batch_size == 4
+    assert lrs == [TR.lr_schedule(s, train_cfg, 9) for s in range(9)]
+    records = [json.loads(l) for l in open(os.path.join(out, "metrics.jsonl"))]
+    assert [r["step"] for r in records] == [3, 6, 9]
+
+
 def test_effective_config_round_trips(tmp_path):
     cfg_path = _toy_config_file(tmp_path)
     out = str(tmp_path / "run")

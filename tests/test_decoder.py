@@ -111,27 +111,33 @@ def test_gqa_reduces_to_mha_when_groups_are_trivial():
 
 def test_gqa_group_sharing_oracle():
     """With n_kv < n_q, query head i must use KV head i // group_size."""
-    cfg, params = _setup()            # n_q=4, n_kv=2
-    x = Tensor(RNG.normal(0, 1, (1, 4, cfg.dec_d)))
-    out = DEC.gqa_attention(x, params, cfg, layer=0).data
+    for mode in ("softmax", "sigmoid"):
+        cfg, params = _setup(attn_norm=mode)            # n_q=4, n_kv=2
+        x = Tensor(RNG.normal(0, 1, (1, 4, cfg.dec_d)))
+        out = DEC.gqa_attention(x, params, cfg, layer=0).data
 
-    pre = "dec.layer0.sa"
-    hd, g = cfg.head_dim, cfg.n_q // cfg.n_kv
-    q = (x.data @ params[f"{pre}.w_q"].data).reshape(1, 4, cfg.n_q, hd).transpose(0, 2, 1, 3)
-    k = (x.data @ params[f"{pre}.w_k"].data).reshape(1, 4, cfg.n_kv, hd).transpose(0, 2, 1, 3)
-    v = (x.data @ params[f"{pre}.w_v"].data).reshape(1, 4, cfg.n_kv, hd).transpose(0, 2, 1, 3)
-    q = DEC.rope_apply(Tensor(q)).data
-    k = DEC.rope_apply(Tensor(k)).data
-    heads = []
-    for i in range(cfg.n_q):
-        kv = i // g
-        logits = q[0, i] @ k[0, kv].T / np.sqrt(hd)
-        logits[np.triu_indices(4, k=1)] = -np.inf
-        e = np.exp(logits - logits.max(-1, keepdims=True))
-        w = e / e.sum(-1, keepdims=True)
-        heads.append(w @ v[0, kv])
-    ref = np.concatenate(heads, axis=-1) @ params[f"{pre}.w_o"].data
-    np.testing.assert_allclose(out[0], ref, atol=1e-10)
+        pre = "dec.layer0.sa"
+        hd, g = cfg.head_dim, cfg.n_q // cfg.n_kv
+        q = (x.data @ params[f"{pre}.w_q"].data).reshape(1, 4, cfg.n_q, hd).transpose(0, 2, 1, 3)
+        k = (x.data @ params[f"{pre}.w_k"].data).reshape(1, 4, cfg.n_kv, hd).transpose(0, 2, 1, 3)
+        v = (x.data @ params[f"{pre}.w_v"].data).reshape(1, 4, cfg.n_kv, hd).transpose(0, 2, 1, 3)
+        q = DEC.rope_apply(Tensor(q)).data
+        k = DEC.rope_apply(Tensor(k)).data
+        future = np.triu_indices(4, k=1)
+        heads = []
+        for i in range(cfg.n_q):
+            kv = i // g
+            logits = q[0, i] @ k[0, kv].T / np.sqrt(hd)
+            if mode == "softmax":
+                logits[future] = -np.inf
+                e = np.exp(logits - logits.max(-1, keepdims=True))
+                w = e / e.sum(-1, keepdims=True)
+            else:
+                w = 1.0 / (1.0 + np.exp(-logits))
+                w[future] = 0.0
+            heads.append(w @ v[0, kv])
+        ref = np.concatenate(heads, axis=-1) @ params[f"{pre}.w_o"].data
+        np.testing.assert_allclose(out[0], ref, atol=1e-10, err_msg=mode)
 
 
 # ---------------------------------------------------------------------
@@ -223,29 +229,31 @@ def test_cache_rejects_changed_stream_count():
 # ---------------------------------------------------------------------
 
 def test_causality_future_tokens_cannot_leak():
-    cfg, params = _setup()
-    mem = _memory(cfg)
-    ids = RNG.integers(0, cfg.vocab_size, 8)
-    base = DEC.decoder_forward(ids, mem, params, cfg).data[0]
-    for t in (2, 5):
-        perturbed = ids.copy()
-        perturbed[t + 1:] = RNG.integers(0, cfg.vocab_size, len(ids) - t - 1)
-        out = DEC.decoder_forward(perturbed, mem, params, cfg).data[0]
-        np.testing.assert_allclose(out[: t + 1], base[: t + 1], atol=1e-12)
+    for mode in ("softmax", "sigmoid"):
+        cfg, params = _setup(attn_norm=mode)
+        mem = _memory(cfg)
+        ids = RNG.integers(0, cfg.vocab_size, 8)
+        base = DEC.decoder_forward(ids, mem, params, cfg).data[0]
+        for t in (2, 5):
+            perturbed = ids.copy()
+            perturbed[t + 1:] = RNG.integers(0, cfg.vocab_size, len(ids) - t - 1)
+            out = DEC.decoder_forward(perturbed, mem, params, cfg).data[0]
+            np.testing.assert_allclose(out[: t + 1], base[: t + 1], atol=1e-12, err_msg=mode)
 
 
 def test_cross_attention_memory_mask():
-    cfg, params = _setup()
-    mem_rows = 5
-    mem = _memory(cfg, rows=mem_rows)
-    mask = np.ones((1, 1, mem_rows), dtype=bool)
-    mask[0, 0, 3:] = False
-    ids = RNG.integers(0, cfg.vocab_size, 4)
-    a = DEC.decoder_forward(ids, mem, params, cfg, mem_mask=mask).data
-    mem2 = Tensor(mem.data.copy())
-    mem2.data[0, 3:] += 7.0       # masked rows only
-    b = DEC.decoder_forward(ids, mem2, params, cfg, mem_mask=mask).data
-    np.testing.assert_allclose(a, b, atol=1e-12)
+    for mode in ("softmax", "sigmoid"):
+        cfg, params = _setup(attn_norm=mode)
+        mem_rows = 5
+        mem = _memory(cfg, rows=mem_rows)
+        mask = np.ones((1, 1, mem_rows), dtype=bool)
+        mask[0, 0, 3:] = False
+        ids = RNG.integers(0, cfg.vocab_size, 4)
+        a = DEC.decoder_forward(ids, mem, params, cfg, mem_mask=mask).data
+        mem2 = Tensor(mem.data.copy())
+        mem2.data[0, 3:] += 7.0       # masked rows only
+        b = DEC.decoder_forward(ids, mem2, params, cfg, mem_mask=mask).data
+        np.testing.assert_allclose(a, b, atol=1e-12, err_msg=mode)
 
 
 def test_decoder_rejects_overlong_sequence():

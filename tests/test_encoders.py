@@ -133,15 +133,25 @@ def test_keyword_encoder_shape_and_mask():
 
 
 def test_padding_ids_cannot_leak_into_valid_positions():
+    for mode in ("softmax", "sigmoid"):
+        cfg = toy_config(attn_norm=mode)
+        params = _kw_params(cfg)
+        ids = np.array([[5, 6, 1, 2]])
+        mask = np.array([[True, True, False, False]])
+        a = encoders.encode_keywords(ids, params, cfg, mask=mask).l_e.data
+        ids2 = ids.copy()
+        ids2[0, 2:] = [9, 9]          # change only padded positions
+        b = encoders.encode_keywords(ids2, params, cfg, mask=mask).l_e.data
+        np.testing.assert_allclose(a[0, :2], b[0, :2], atol=1e-12, err_msg=mode)
+
+
+def test_fully_masked_keywords_raise_instead_of_nan():
     cfg = toy_config()
     params = _kw_params(cfg)
-    ids = np.array([[5, 6, 1, 2]])
-    mask = np.array([[True, True, False, False]])
-    a = encoders.encode_keywords(ids, params, cfg, mask=mask).l_e.data
-    ids2 = ids.copy()
-    ids2[0, 2:] = [9, 9]          # change only padded positions
-    b = encoders.encode_keywords(ids2, params, cfg, mask=mask).l_e.data
-    np.testing.assert_allclose(a[0, :2], b[0, :2], atol=1e-12)
+    ids = np.array([[5, 6, 1, 2], [5, 6, 1, 2]])
+    mask = np.array([[True, True, False, False], [False] * 4])
+    with pytest.raises(T.NonFiniteError, match="all -inf"):
+        encoders.encode_keywords(ids, params, cfg, mask=mask)
 
 
 def test_keyword_encoder_rejects_overlong():

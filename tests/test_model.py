@@ -117,7 +117,7 @@ def _greedy_uncached(model, image, kw_ids, kw_mask, bos_id, eos_id, max_len):
     teacher-forced decoder over the whole prefix, with the memory holding the
     fused rows plus the causally masked prefix embeddings."""
     state = model.fuse(image[None], kw_ids[None], kw_mask[None])
-    mem_f = DEC.project_memory(state.f, model.params).detach()
+    mem_f = Tensor(DEC.project_memory(state.f, model.params).data)
     embed = model.params["dec.embed"]
     s_f = mem_f.shape[1]
     seq, tokens = [bos_id], []
