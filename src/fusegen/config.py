@@ -53,7 +53,7 @@ class ModelConfig:
 
     # global switches
     attn_norm: str = "softmax"    # "softmax" | "sigmoid"
-    dtype: str = "float64"        # "float64" | "float32"
+    dtype: str = "float32"        # "float32" | "float64"
     seed: int = 0
 
     # ablation toggles

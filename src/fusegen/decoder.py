@@ -98,10 +98,15 @@ class KVCache:
     so far, so each memory row is projected once; between steps the memory
     may only grow by appending rows. N is set by the first append. Existing
     entries are never mutated.
+
+    Each of these is a view of a buffer that is filled in place. The first
+    append sizes it for a decode of ``max_len`` steps, one more position (or
+    memory row) per step after the first; a buffer that runs full is
+    reallocated at about twice its size.
     """
 
-    def __init__(self, n_layers: int, n_kv: int, head_dim: int):
-        self.n_kv, self.head_dim = n_kv, head_dim
+    def __init__(self, n_layers: int, n_kv: int, head_dim: int, max_len: int = 1):
+        self.n_kv, self.head_dim, self.max_len = n_kv, head_dim, max_len
         self.k: List[Optional[np.ndarray]] = [None] * n_layers
         self.v: List[Optional[np.ndarray]] = [None] * n_layers
         self.mem_k: List[Optional[np.ndarray]] = [None] * n_layers
@@ -117,20 +122,31 @@ class KVCache:
         if k_new.ndim != 4 or k_new.shape[1:] != (self.n_kv, 1, self.head_dim):
             raise ValueError(f"cache grows by one (N, {self.n_kv}, 1, {self.head_dim}) "
                              f"position per step, got {k_new.shape}")
-        self.k[layer] = _grow(self.k[layer], k_new)
-        self.v[layer] = _grow(self.v[layer], v_new)
+        self.k[layer] = self._grow(self.k[layer], k_new)
+        self.v[layer] = self._grow(self.v[layer], v_new)
 
     def extend_memory(self, layer: int, k_new: np.ndarray, v_new: np.ndarray) -> None:
-        self.mem_k[layer] = _grow(self.mem_k[layer], k_new)
-        self.mem_v[layer] = _grow(self.mem_v[layer], v_new)
+        self.mem_k[layer] = self._grow(self.mem_k[layer], k_new)
+        self.mem_v[layer] = self._grow(self.mem_v[layer], v_new)
 
-
-def _grow(old: Optional[np.ndarray], new: np.ndarray) -> np.ndarray:
-    if old is None:
-        return new
-    if new.shape[0] != old.shape[0]:
-        raise ValueError(f"cache holds {old.shape[0]} streams, got {new.shape[0]}")
-    return np.concatenate([old, new], axis=2)
+    def _grow(self, filled: Optional[np.ndarray], new: np.ndarray) -> np.ndarray:
+        """``filled`` with ``new`` appended along axis 2, as a view of the
+        buffer under ``filled``. Rows past ``filled`` are written in place,
+        so no view handed out earlier changes."""
+        t, buf = 0, None
+        if filled is not None:
+            if new.shape[0] != filled.shape[0]:
+                raise ValueError(f"cache holds {filled.shape[0]} streams, got {new.shape[0]}")
+            t, buf = filled.shape[2], filled.base
+        end = t + new.shape[2]
+        if buf is None or end > buf.shape[2]:
+            shape = list(new.shape)
+            shape[2] = end + max(self.max_len - 1, t)
+            buf = np.empty(shape, dtype=new.dtype)
+            if t:
+                buf[:, :, :t] = filled
+        buf[:, :, t:end] = new
+        return buf[:, :, :end]
 
 
 def gqa_attention(

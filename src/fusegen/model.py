@@ -190,18 +190,23 @@ class ReportModel:
                               kw_mask if cfg.use_keywords else None)
             embed = self.params["dec.embed"].data
             # the memory grows with the embeddings of already-consumed tokens,
-            # mirroring the causally masked report segment seen in training
-            cache = dec_mod.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim)
-            memory = dec_mod.project_memory(state.f, self.params)
-            mem_mask = state.f_row_mask[:, None, :]
+            # mirroring the causally masked report segment seen in training;
+            # its rows and mask are allocated once and filled step by step
+            cache = dec_mod.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, max_len)
+            mem_f = dec_mod.project_memory(state.f, self.params).data
+            s_f = mem_f.shape[1]
+            memory = np.empty((n, s_f + max_len, cfg.dec_d), dtype=embed.dtype)
+            memory[:, :s_f] = mem_f
+            mem_mask = np.ones((n, 1, s_f + max_len), dtype=bool)
+            mem_mask[:, 0, :s_f] = state.f_row_mask
             cur = np.full(n, bos_id)
             live = np.ones(n, dtype=bool)
             for pos in range(max_len):
-                memory = T.concat([memory, Tensor(embed[cur][:, None])], axis=-2)
-                mem_mask = np.concatenate(
-                    [mem_mask, np.ones((n, 1, 1), dtype=bool)], axis=2)
-                logits = dec_mod.decode_step(cur, pos, memory, self.params, cfg,
-                                             cache, mem_mask=mem_mask)
+                rows = s_f + pos + 1
+                memory[:, rows - 1] = embed[cur]
+                logits = dec_mod.decode_step(cur, pos, Tensor(memory[:, :rows]),
+                                             self.params, cfg, cache,
+                                             mem_mask=mem_mask[:, :, :rows])
                 if mode == "greedy":
                     cur = logits.argmax(axis=-1)
                 else:

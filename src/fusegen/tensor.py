@@ -652,24 +652,31 @@ def grad_check_params(
     sample_per_tensor: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
     corrupt: bool = False,
+    grads: Optional[Dict[str, np.ndarray]] = None,
+    floor: float = 1e-12,
 ) -> float:
     """Max relative error of analytic vs central-difference parameter grads.
 
     ``loss_fn`` must be a deterministic closure over ``params``; each probe
-    perturbs one coordinate of a parameter in place. With
-    ``sample_per_tensor`` set, only that many coordinates per tensor are
-    probed (chosen by ``rng``). ``corrupt`` deliberately skews the analytic
-    gradient; it exists as a negative control.
+    perturbs one coordinate of a parameter in place. The analytic grads are
+    ``grads`` by parameter name if given, else one backward pass of
+    ``loss_fn``. With ``sample_per_tensor`` set, only that many coordinates
+    per tensor are probed (chosen by ``rng``). The error of a coordinate is
+    |analytic - cd| / max(|analytic|, |cd|, ``floor``). ``corrupt``
+    deliberately skews the analytic gradient; it exists as a negative control.
     """
     if not (1e-7 <= h <= 1e-3):
         raise ValueError(f"h={h} outside [1e-7, 1e-3]")
-    for p in params.values():
-        p.grad = None
-    loss_fn().backward()
+    if grads is None:
+        for p in params.values():
+            p.grad = None
+        loss_fn().backward()
+        grads = {name: p.grad for name, p in params.items()}
     rng = rng or np.random.default_rng(0)
     worst = 0.0
     for name, p in params.items():
-        g = (p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
+        g = grads.get(name)
+        g = (g if g is not None else np.zeros_like(p.data)).ravel()
         if corrupt:
             g = g + 0.5
         flat = p.data.ravel()
@@ -687,6 +694,7 @@ def grad_check_params(
             if not (math.isfinite(fp) and math.isfinite(fm)):
                 raise NonFiniteError(f"grad_check: non-finite loss probing {name}[{i}]")
             cd = (fp - fm) / (2.0 * h)
-            rel = abs(g[i] - cd) / max(abs(g[i]), abs(cd), 1e-12)
+            gi = float(g[i])   # a float32 grad would round cd to float32
+            rel = abs(gi - cd) / max(abs(gi), abs(cd), floor)
             worst = max(worst, rel)
     return worst

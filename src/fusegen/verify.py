@@ -7,7 +7,7 @@ compares against central differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List
 
 import numpy as np
@@ -22,6 +22,18 @@ from . import tensor as T
 from .config import ModelConfig
 from .model import ReportModel
 from .tensor import Tensor
+
+
+# float32 analytic grads against float64 central differences. Summing in
+# float32 leaves a gradient of ~1e-4 off by up to ~4e-7, so the threshold
+# sits at 1e-2: over seeds 0-31 in both attention modes the worst error was
+# 5.3e-3 (median 1.1e-4), against ~1.9 under --corrupt. The floor keeps
+# what the differences cannot resolve out of the relative error: at
+# h = 1e-5 and a toy loss of ~60, float64 rounding leaves each difference
+# ~1e-9 of noise, and a gradient that is exactly zero comes out of float32
+# as ~1e-12 of noise; below 1e-6 the comparison is in absolute terms.
+FLOAT32_END_TO_END_THRESHOLD = 1e-2
+FLOAT32_GRAD_FLOOR = 1e-6
 
 
 @dataclass
@@ -40,11 +52,15 @@ class CheckResult:
 
 
 def toy_config(attn_norm: str = "softmax", seed: int = 0, **overrides) -> ModelConfig:
-    """Smallest config that still exercises every mechanism; < 50k params."""
+    """Smallest config that still exercises every mechanism; < 50k params.
+
+    It runs in float64 (not the float32 default), so finite differences and
+    tight oracle tolerances resolve."""
     kw = dict(
         image_side=16, e_v=8, e_l=16, s_l=4, enc_layers=1, enc_heads=4,
         p=16, d_align=16, dec_d=32, dec_layers=1, n_q=4, n_kv=2,
         vocab_size=29, max_report_len=12, attn_norm=attn_norm, seed=seed,
+        dtype="float64",
     )
     kw.update(overrides)
     return ModelConfig(**kw)
@@ -131,13 +147,29 @@ def check_cross_entropy(rng: np.random.Generator) -> float:
 
 
 def check_end_to_end(mode: str, seed: int = 0, lambda_align: float = 0.5,
-                     sample_per_tensor: int = 4, corrupt: bool = False) -> float:
-    """Composite-loss gradient over all model parameters, sampled coordinates."""
+                     sample_per_tensor: int = 4, corrupt: bool = False,
+                     float32: bool = False) -> float:
+    """Composite-loss gradient over all model parameters, sampled coordinates.
+
+    With ``float32`` the analytic grads come from a float32 twin of the toy
+    model (its params cast down), and the central differences from the
+    float64 model holding those float32 values cast back up: differences
+    taken in float32 would drown in its rounding.
+    """
     cfg = toy_config(attn_norm=mode, seed=seed)
     model = ReportModel(cfg)
     vocab = data_mod.default_vocab()
     samples = data_mod.synth_generate(2, seed=seed + 11, side=cfg.image_side)
     batch = data_mod.make_batch(samples, vocab, cfg.s_l, max_len=10)
+
+    float32_args = {}
+    if float32:
+        twin = ReportModel(replace(cfg, dtype="float32"))   # same init, cast down
+        for name, p in twin.params.items():
+            model.params[name].data = p.data.astype(np.float64)
+        twin.losses(batch, lambda_align).total.backward()
+        float32_args = dict(grads={name: p.grad for name, p in twin.params.items()},
+                            floor=FLOAT32_GRAD_FLOOR)
 
     def loss_fn():
         return model.losses(batch, lambda_align).total
@@ -145,7 +177,7 @@ def check_end_to_end(mode: str, seed: int = 0, lambda_align: float = 0.5,
     rng = np.random.default_rng(seed)
     return T.grad_check_params(loss_fn, model.params, h=1e-5,
                                sample_per_tensor=sample_per_tensor, rng=rng,
-                               corrupt=corrupt)
+                               corrupt=corrupt, **float32_args)
 
 
 def run_all_checks(mode: str = "softmax", seed: int = 0,
@@ -164,5 +196,8 @@ def run_all_checks(mode: str = "softmax", seed: int = 0,
         CheckResult("end-to-end composite loss",
                     check_end_to_end(mode, seed, corrupt=corrupt),
                     end_to_end_threshold),
+        CheckResult("end-to-end float32 grads",
+                    check_end_to_end(mode, seed, corrupt=corrupt, float32=True),
+                    FLOAT32_END_TO_END_THRESHOLD),
     ]
     return results

@@ -188,18 +188,22 @@ def test_ablate_kw_implies_no_fusion_stages(tmp_path):
 
 
 def test_grad_check_command_passes(capsys):
-    rc = cli.main(["grad-check"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert out.count("PASS") == 8
-    assert "FAIL" not in out
+    for mode in ("softmax", "sigmoid"):
+        rc = cli.main(["grad-check", "--attn", mode])
+        out = capsys.readouterr().out
+        assert rc == 0, mode
+        assert out.count("PASS") == 9, mode
+        assert "FAIL" not in out, mode
 
 
 def test_grad_check_negative_control_fails(capsys):
     rc = cli.main(["grad-check", "--corrupt"])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "FAIL" in out
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 2
+    assert "end-to-end composite loss" in failed[0]
+    assert "end-to-end float32 grads" in failed[1]
 
 
 def test_keyword_dropout_flag_runs(tmp_path, capsys):

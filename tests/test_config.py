@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from fusegen.config import (ConfigError, ModelConfig, TrainConfig,
                             config_from_dict, config_to_dict, load_config,
                             save_config)
+from fusegen.model import ReportModel
 
 
 def test_defaults_are_valid():
@@ -108,3 +110,17 @@ def test_non_object_config_rejected(tmp_path):
     p.write_text("5")
     with pytest.raises(ConfigError):
         load_config(str(p))
+
+
+@pytest.mark.parametrize("stored, expect", [
+    ({"dtype": "float64"}, "float64"),   # written before float32 became the default
+    ({"seed": 3}, "float32"),            # no dtype key: the default
+])
+def test_config_file_dtype(tmp_path, stored, expect):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(stored))
+    model_cfg, train_cfg = load_config(str(p))
+    assert model_cfg.dtype == expect
+    params = ReportModel(model_cfg).params.values()
+    assert {q.data.dtype for q in params} == {np.dtype(expect)}
+    assert config_to_dict(model_cfg, train_cfg)["dtype"] == expect

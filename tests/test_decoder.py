@@ -214,6 +214,27 @@ def test_cross_attention_kv_cache_matches_uncached():
         assert cache.memory_length(0) == rows
 
 
+def test_cache_fills_its_buffers_in_place():
+    cfg, _ = _setup()
+    cache = DEC.KVCache(1, cfg.n_kv, cfg.head_dim, max_len=3)
+    steps = [RNG.normal(0, 1, (2, cfg.n_kv, 1, cfg.head_dim)) for _ in range(4)]
+    views = []
+    for k in steps:
+        cache.append(0, k, -k)
+        views.append(cache.k[0])
+    np.testing.assert_array_equal(views[-1], np.concatenate(steps, axis=2))
+    np.testing.assert_array_equal(cache.v[0], -views[-1])
+    # three steps share one buffer; the fourth outgrows it and moves
+    assert views[0].base is views[2].base and views[3].base is not views[0].base
+    for t, view in enumerate(views):   # earlier views never change
+        np.testing.assert_array_equal(view, np.concatenate(steps[:t + 1], axis=2))
+    rows = RNG.normal(0, 1, (2, cfg.n_q, 7, cfg.head_dim))
+    for lo, hi in ((0, 5), (5, 6), (6, 7)):
+        cache.extend_memory(0, rows[:, :, lo:hi], rows[:, :, lo:hi])
+        assert cache.mem_k[0].base.shape[2] == 7
+    np.testing.assert_array_equal(cache.mem_k[0], rows)
+
+
 def test_cache_rejects_changed_stream_count():
     cfg, _ = _setup()
     cache = DEC.KVCache(1, cfg.n_kv, cfg.head_dim)

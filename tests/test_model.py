@@ -8,7 +8,7 @@ from fusegen import data as D
 from fusegen import decoder as DEC
 from fusegen import tensor as T
 from fusegen import training as TR
-from fusegen.config import ConfigError, TrainConfig
+from fusegen.config import ConfigError, ModelConfig, TrainConfig
 from fusegen.model import ReportModel
 from fusegen.tensor import Tensor
 from fusegen.verify import toy_config
@@ -199,6 +199,37 @@ def test_decode_corpus_matches_per_sample_loop_with_keyword_dropout(
         expect.append(model.generate(s.image, ids, m, vocab.bos_id, vocab.eos_id, 10))
     assert hyps == expect
     assert refs == [vocab.encode(s.report) for s in samples]
+
+
+def test_float32_decode_stays_float32(monkeypatch):
+    model = ReportModel(ModelConfig())
+    assert model.cfg.dtype == "float32"
+    vocab, samples, _ = _batch(model.cfg, n=8)
+    enc = [D.encode_keyword_string(vocab, s.keywords, model.cfg.s_l) for s in samples]
+    made, caches = [], []
+    init = Tensor.__init__
+
+    def spy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self.data.dtype)
+
+    class SpyCache(DEC.KVCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            caches.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", spy_init)
+    monkeypatch.setattr(DEC, "KVCache", SpyCache)
+    model.generate(np.stack([s.image for s in samples]),
+                   np.stack([ids for ids, _ in enc]), np.stack([m for _, m in enc]),
+                   vocab.bos_id, -1, max_len=6)
+    assert len(made) > 500 and set(made) == {np.dtype(np.float32)}
+    (cache,) = caches
+    bufs = [*cache.k, *cache.v, *cache.mem_k, *cache.mem_v]
+    assert len(bufs) == 4 * model.cfg.dec_layers
+    assert {b.dtype for b in bufs} == {np.dtype(np.float32)}
+    # all 6 steps ran, so each cache view spans its buffer: sized once, exactly
+    assert all(b.base.shape == b.shape for b in bufs)
 
 
 def test_generate_sampling_is_seeded():

@@ -260,6 +260,13 @@ def _set_config_value(key, value):
     return corrupt
 
 
+def _other_config_dtype(body):
+    # the dtype the stored tensors do not have, whichever the default is
+    meta = json.loads(body[12:_meta_end(body)])
+    other = {"float32": "float64", "float64": "float32"}[meta["config"]["dtype"]]
+    return _set_config_value("dtype", other)(body)
+
+
 def _drop_adam_v_twin(body):
     # the first adam.v.* record gets a name no parameter has
     return body.replace(b"adam.v.", b"adam.x.", 1)
@@ -305,7 +312,7 @@ def _drop_record(name):
     _set_config_value("lr", "abc"),
     _set_config_value("use_keywords", "no"),
     _set_config_value("bogus", 1),
-    _set_config_value("dtype", "float32"),
+    _other_config_dtype,
     _drop_adam_v_twin,
     _rename_adam_m_record,
     _repeat_adam_v_name,
@@ -405,6 +412,19 @@ def test_float32_loss_log_tracks_float64():
         _, _, hist, _ = _warmup_cosine_run(dtype, 30)
         logs[dtype] = np.array([(h.l_ce, h.l_align, h.l_total) for h in hist])
     np.testing.assert_allclose(logs["float32"], logs["float64"], rtol=1e-5)
+
+
+def test_float64_checkpoint_still_loads_as_float64(tmp_path):
+    model, state, _, tc = _tiny_run(2)   # toy_config pins float64
+    p = tmp_path / "f64.ckpt"
+    TR.save_checkpoint(model, state, tc, str(p))
+    body = p.read_bytes()
+    assert json.loads(body[12:_meta_end(body)])["config"]["dtype"] == "float64"
+    m2, s2, _, _ = TR.load_checkpoint(str(p))
+    f64 = np.dtype(np.float64)
+    assert m2.cfg.dtype == "float64"
+    assert {q.data.dtype for q in m2.params.values()} == {f64}
+    assert {a.dtype for a in [*s2.m.values(), *s2.v.values()]} == {f64}
 
 
 def test_float32_checkpoint_round_trip_bitwise(tmp_path):
