@@ -5,7 +5,7 @@ autodiff so each component's gradients are checkable by finite differences.
 """
 
 from .config import ModelConfig, TrainConfig, ConfigError
-from .model import ReportModel, FusionState, LossReport
+from .model import ReportModel, LossReport
 from .tensor import Tensor, grad_check
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "TrainConfig",
     "ConfigError",
     "ReportModel",
-    "FusionState",
     "LossReport",
     "Tensor",
     "grad_check",

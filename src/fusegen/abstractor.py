@@ -7,7 +7,6 @@ are row-concatenated, visual-derived rows first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -16,15 +15,6 @@ from . import nn
 from . import tensor as T
 from .config import ModelConfig
 from .tensor import Tensor
-
-
-@dataclass
-class AbstractorOutput:
-    v_proj: Tensor  # (N, S_V, P)
-    l_proj: Tensor  # (N, S_L, P)
-    v2l: Tensor     # (N, S_V, P)
-    l2v: Tensor     # (N, S_L, P)
-    f1: Tensor      # (N, S_V + S_L, P)
 
 
 def init_abstractor(cfg: ModelConfig, rng: np.random.Generator) -> dict:
@@ -54,22 +44,20 @@ def bidirectional_cross_attention(
     l_p: Tensor,
     mode: str = "softmax",
     l_mask: Optional[np.ndarray] = None,
-    return_weights: bool = False,
 ):
     """Cross-attend each modality over the other in the shared space.
 
-    v_p: (N, S_V, P), l_p: (N, S_L, P). Returns (v2l, l2v): v2l rows are
-    indexed by visual positions with content drawn from l_p rows, and
-    symmetrically for l2v. ``l_mask`` masks padded language keys.
+    v_p: (N, S_V, P), l_p: (N, S_L, P). Returns ((v2l, l2v), (w_v2l, w_l2v)):
+    v2l rows are indexed by visual positions with content drawn from l_p
+    rows, and symmetrically for l2v; the w_* are the attention weights.
+    ``l_mask`` masks padded language keys.
     """
     if v_p.shape[-1] != l_p.shape[-1]:
         raise T.ShapeError(f"shared dims differ: {v_p.shape} vs {l_p.shape}")
     km = None if l_mask is None else np.asarray(l_mask, dtype=bool)[:, None, :]
     v2l, w_v2l = nn.attention(v_p, l_p, l_p, mode, km)
     l2v, w_l2v = nn.attention(l_p, v_p, v_p, mode)
-    if return_weights:
-        return (v2l, l2v), (w_v2l, w_l2v)
-    return v2l, l2v
+    return (v2l, l2v), (w_v2l, w_l2v)
 
 
 def aggregate(v2l: Tensor, l2v: Tensor) -> Tensor:
@@ -85,8 +73,8 @@ def abstractor_forward(
     params: dict,
     cfg: ModelConfig,
     l_mask: Optional[np.ndarray] = None,
-) -> AbstractorOutput:
+) -> Tensor:
+    """F1: (N, S_V + S_L, P), visual-derived rows first."""
     v_p, l_p = project_modalities(v_e, l_e, params)
-    v2l, l2v = bidirectional_cross_attention(v_p, l_p, cfg.attn_norm, l_mask)
-    return AbstractorOutput(v_proj=v_p, l_proj=l_p, v2l=v2l, l2v=l2v,
-                            f1=aggregate(v2l, l2v))
+    (v2l, l2v), _ = bidirectional_cross_attention(v_p, l_p, cfg.attn_norm, l_mask)
+    return aggregate(v2l, l2v)

@@ -10,7 +10,6 @@ segment-specific key/value projections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -19,13 +18,6 @@ from . import nn
 from . import tensor as T
 from .config import ModelConfig
 from .tensor import Tensor
-
-
-@dataclass
-class AdaptorOutput:
-    x_unified: Tensor   # (N, S_V + S_L, E_L), pre-gate
-    gate: Tensor        # (S_V + S_L,) in (0, 1)
-    f2: Tensor          # (N, S_V + S_L, P)
 
 
 def _inv_sigmoid(y: float) -> float:
@@ -60,16 +52,13 @@ def build_unified_input(v_e: Tensor, l_e: Tensor, params: dict) -> Tensor:
     return T.concat([v_rows, l_e], axis=-2)
 
 
-def apply_modality_indicator(x: Tensor, raw: Tensor, s_v: int) -> Tuple[Tensor, Tensor, Tensor]:
-    """Scale each row by its position's sigmoid gate and split at s_v.
-
-    Returns (x_v, x_l, gate).
-    """
+def apply_modality_indicator(x: Tensor, raw: Tensor, s_v: int) -> Tuple[Tensor, Tensor]:
+    """Scale each row by its position's sigmoid gate and split at s_v into
+    (x_v, x_l)."""
     if raw.shape[-1] != x.shape[-2]:
         raise T.ShapeError(f"indicator length {raw.shape[-1]} != sequence height {x.shape[-2]}")
-    gate = T.sigmoid(raw)
-    xp = x * gate.reshape(-1, 1)
-    return xp[:, :s_v, :], xp[:, s_v:, :], gate
+    xp = x * T.sigmoid(raw).reshape(-1, 1)
+    return xp[:, :s_v, :], xp[:, s_v:, :]
 
 
 def decoupled_attention(
@@ -104,8 +93,8 @@ def adaptor_forward(
     params: dict,
     cfg: ModelConfig,
     l_mask: Optional[np.ndarray] = None,
-) -> AdaptorOutput:
+) -> Tensor:
+    """F2: (N, S_V + S_L, P)."""
     x = build_unified_input(v_e, l_e, params)
-    x_v, x_l, gate = apply_modality_indicator(x, params["adp.ind.raw"], cfg.s_v)
-    f2 = decoupled_attention(x_v, x_l, params, cfg, l_mask)
-    return AdaptorOutput(x_unified=x, gate=gate, f2=f2)
+    x_v, x_l = apply_modality_indicator(x, params["adp.ind.raw"], cfg.s_v)
+    return decoupled_attention(x_v, x_l, params, cfg, l_mask)

@@ -9,7 +9,6 @@ batch (negatives over reports only, as printed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,12 +19,6 @@ from .config import ModelConfig
 from .tensor import Tensor
 
 TEMPERATURE_FLOOR = 1e-3
-
-
-@dataclass
-class PooledEmbedding:
-    emb: Tensor               # (N, D_align), unit rows (zero rows if degenerate)
-    degenerate: np.ndarray    # (N,) boolean: True where the pre-norm vector was ~0
 
 
 def init_alignment(cfg: ModelConfig, rng: np.random.Generator) -> dict:
@@ -45,13 +38,12 @@ def temperature(params: dict) -> Tensor:
     return T.log(T.exp(raw) + 1.0) + TEMPERATURE_FLOOR
 
 
-def l2_normalize(x: Tensor, eps: float = 1e-12):
-    """Row-normalize; near-zero rows stay zero and are flagged."""
+def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
+    """Row-normalize; near-zero rows stay zero."""
     norm_sq = (x * x).sum(axis=-1, keepdims=True)
     degenerate = norm_sq.data.reshape(-1) < eps
     inv = T.pow_const(norm_sq + eps * eps, -0.5)
-    out = x * T.mask_fill(inv, degenerate[:, None], 0.0)
-    return out, degenerate
+    return x * T.mask_fill(inv, degenerate[:, None], 0.0)
 
 
 def _masked_mean(x: Tensor, mask: Optional[np.ndarray]) -> Tensor:
@@ -66,27 +58,25 @@ def pool_fusion(
     f: Tensor,
     params: dict,
     row_mask: Optional[np.ndarray] = None,
-) -> PooledEmbedding:
-    """Mean over valid rows of the fused (N, S, P) sequence, then project."""
+) -> Tensor:
+    """Mean over valid rows of the fused (N, S, P) sequence, then project:
+    (N, D_align) unit rows."""
     proj = nn.linear(_masked_mean(f, row_mask), params["aln.pool.w"], params["aln.pool.b"])
-    emb, degenerate = l2_normalize(proj)
-    return PooledEmbedding(emb=emb, degenerate=degenerate)
+    return l2_normalize(proj)
 
 
 def embed_report(report_ids: np.ndarray, params: dict,
-                 mask: Optional[np.ndarray] = None) -> PooledEmbedding:
-    """Unit-norm report vector: token embedding mean-pool plus projection."""
+                 mask: Optional[np.ndarray] = None) -> Tensor:
+    """(N, D_align) unit rows for (N, T) report ids: token embedding
+    mean-pool plus projection."""
     ids = np.asarray(report_ids)
-    if ids.ndim == 1:
-        ids = ids[None, :]
     if ids.shape[1] == 0:
         raise ValueError("empty report")
     if mask is not None and not np.asarray(mask).any(axis=1).all():
         raise ValueError("a report has no unmasked tokens")
     x = T.embedding(params["aln.rep.embed"], ids)
     proj = nn.linear(_masked_mean(x, mask), params["aln.rep.w"], params["aln.rep.b"])
-    emb, degenerate = l2_normalize(proj)
-    return PooledEmbedding(emb=emb, degenerate=degenerate)
+    return l2_normalize(proj)
 
 
 def info_nce(f_emb: Tensor, r_emb: Tensor, tau: Tensor) -> Tensor:

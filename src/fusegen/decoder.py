@@ -101,11 +101,11 @@ class KVCache:
 
     Each of these is a view of a buffer that is filled in place. The first
     append sizes it for a decode of ``max_len`` steps, one more position (or
-    memory row) per step after the first; a buffer that runs full is
-    reallocated at about twice its size.
+    memory row) per step after the first; an append past that raises
+    ValueError.
     """
 
-    def __init__(self, n_layers: int, n_kv: int, head_dim: int, max_len: int = 1):
+    def __init__(self, n_layers: int, n_kv: int, head_dim: int, max_len: int):
         self.n_kv, self.head_dim, self.max_len = n_kv, head_dim, max_len
         self.k: List[Optional[np.ndarray]] = [None] * n_layers
         self.v: List[Optional[np.ndarray]] = [None] * n_layers
@@ -139,12 +139,12 @@ class KVCache:
                 raise ValueError(f"cache holds {filled.shape[0]} streams, got {new.shape[0]}")
             t, buf = filled.shape[2], filled.base
         end = t + new.shape[2]
-        if buf is None or end > buf.shape[2]:
+        if buf is None:
             shape = list(new.shape)
-            shape[2] = end + max(self.max_len - 1, t)
+            shape[2] = end + self.max_len - 1
             buf = np.empty(shape, dtype=new.dtype)
-            if t:
-                buf[:, :, :t] = filled
+        elif end > buf.shape[2]:
+            raise ValueError(f"cache sized for {self.max_len} steps is full")
         buf[:, :, t:end] = new
         return buf[:, :, :end]
 
@@ -264,8 +264,6 @@ def decoder_forward(
 ) -> Tensor:
     """Teacher-forced pass: (N, T) input ids -> (N, T, vocab) next-token logits."""
     ids = np.asarray(report_ids_in)
-    if ids.ndim == 1:
-        ids = ids[None, :]
     t = ids.shape[1]
     if t < 1 or t > cfg.max_report_len + 1:
         raise ConfigError(f"sequence length {t} exceeds configured maximum {cfg.max_report_len + 1}")
@@ -277,7 +275,7 @@ def decoder_forward(
 
 
 def decode_step(
-    token_ids,
+    token_ids: np.ndarray,
     pos: int,
     memory: Tensor,
     params: dict,
@@ -285,18 +283,14 @@ def decode_step(
     cache: KVCache,
     mem_mask: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """One cached autoregressive step. ``token_ids`` is an int for one stream,
-    which returns its (vocab,) logits row, or an (N,) id array for N streams
-    (``memory`` then stacks N streams on its first axis), which returns
-    (N, vocab) logits."""
-    ids = np.asarray(token_ids)
-    x = T.embedding(params["dec.embed"], ids.reshape(-1, 1))
+    """One cached autoregressive step for N streams: (N,) ids, with
+    ``memory`` stacking the streams on its first axis, -> (N, vocab) logits."""
+    x = T.embedding(params["dec.embed"], np.asarray(token_ids)[:, None])
     for l in range(cfg.dec_layers):
         x = decoder_layer(x, memory, params, cfg, l, cache=cache, start_pos=pos,
                           mem_mask=mem_mask)
     x = T.rms_norm(x, params["dec.final_rms.g"])
-    logits = T.matmul(x, params["dec.head.w"]).data[:, 0]
-    return logits if ids.ndim else logits[0]
+    return T.matmul(x, params["dec.head.w"]).data[:, 0]
 
 
 def cross_entropy(logits: Tensor, target_ids: np.ndarray,
@@ -306,8 +300,6 @@ def cross_entropy(logits: Tensor, target_ids: np.ndarray,
     Returns (total, per_token_mean) as tensors sharing one graph.
     """
     targets = np.asarray(target_ids)
-    if targets.ndim == 1:
-        targets = targets[None, :]
     n, t, vocab = logits.shape
     if targets.max() >= vocab or targets.min() < 0:
         raise IndexError(f"target id out of range for vocab {vocab}")

@@ -10,27 +10,12 @@ encoder over [SEP]-joined keyword tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from . import nn
 from . import tensor as T
 from .config import ConfigError, ModelConfig
 from .tensor import Tensor
-
-
-@dataclass
-class VisualFeatures:
-    v_e: Tensor          # (N, S_V, E_V), flattened row-major over the grid
-    grid_side: int
-
-
-@dataclass
-class KeywordEmbeddings:
-    l_e: Tensor          # (N, S_L, E_L)
-    mask: np.ndarray     # (N, S_L) boolean, True = real token
 
 
 # ---------------------------------------------------------------------
@@ -59,8 +44,9 @@ def _patch_merge(x: Tensor) -> Tensor:
     return x.reshape(n, h // 2, w // 2, 4 * c)
 
 
-def encode_image(images, params: dict, cfg: ModelConfig) -> VisualFeatures:
-    """Map (N, side, side, C) images to a (N, S_V, E_V) feature grid.
+def encode_image(images, params: dict, cfg: ModelConfig) -> Tensor:
+    """Map (N, side, side, C) images to (N, S_V, E_V) features, flattened
+    row-major over the grid.
 
     Arrays are cast to ``cfg.dtype``; a Tensor (which may carry a gradient)
     must already have that dtype.
@@ -68,8 +54,6 @@ def encode_image(images, params: dict, cfg: ModelConfig) -> VisualFeatures:
     x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=cfg.dtype))
     if x.data.dtype != cfg.dtype:
         raise ConfigError(f"image tensor is {x.data.dtype}, the model runs in {cfg.dtype}")
-    if x.ndim == 3:
-        x = x.reshape(1, *x.shape)
     n, side, side2, c = x.shape
     if side != side2 or side % 8 != 0:
         raise ConfigError(f"image must be square with side divisible by 8, got {side}x{side2}")
@@ -81,8 +65,7 @@ def encode_image(images, params: dict, cfg: ModelConfig) -> VisualFeatures:
     scores = T.matmul(x, params["img.ctx.w_score"]).transpose(0, 2, 1)   # (N, 1, S_V)
     weights = T.softmax_rows(scores)
     ctx = T.matmul(weights, x)                                           # (N, 1, E_V)
-    v_e = x + T.matmul(ctx, params["img.ctx.w_proj"])
-    return VisualFeatures(v_e=v_e, grid_side=g)
+    return x + T.matmul(ctx, params["img.ctx.w_proj"])
 
 
 # ---------------------------------------------------------------------
@@ -106,25 +89,17 @@ def init_keyword_encoder(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     return params
 
 
-def encode_keywords(
-    token_ids: np.ndarray,
-    params: dict,
-    cfg: ModelConfig,
-    mask: Optional[np.ndarray] = None,
-) -> KeywordEmbeddings:
-    """Contextual embeddings for (N, S_L) keyword token ids.
+def encode_keywords(token_ids: np.ndarray, params: dict, cfg: ModelConfig,
+                    mask: np.ndarray) -> Tensor:
+    """(N, S_L, E_L) contextual embeddings for (N, S_L) keyword token ids.
 
     ``mask`` marks real tokens (True); padded positions are excluded from
     attention as keys, so their ids cannot influence unpadded outputs.
     """
     ids = np.asarray(token_ids)
-    if ids.ndim == 1:
-        ids = ids[None, :]
-    n, s = ids.shape
+    s = ids.shape[1]
     if s < 1 or s > cfg.s_l:
         raise ConfigError(f"keyword length {s} outside [1, {cfg.s_l}]")
-    if mask is None:
-        mask = np.ones((n, s), dtype=bool)
     mask = np.asarray(mask, dtype=bool)
     x = T.embedding(params["kw.embed"], ids) + nn.sinusoidal_positions(s, cfg.e_l)
     for l in range(cfg.enc_layers):
@@ -134,4 +109,4 @@ def encode_keywords(
         f = T.gelu(nn.linear(x, params[f"kw.layer{l}.ffn.w1"], params[f"kw.layer{l}.ffn.b1"]))
         f = nn.linear(f, params[f"kw.layer{l}.ffn.w2"], params[f"kw.layer{l}.ffn.b2"])
         x = T.layer_norm(x + f, params[f"kw.layer{l}.ln2.g"], params[f"kw.layer{l}.ln2.b"])
-    return KeywordEmbeddings(l_e=x, mask=mask)
+    return x

@@ -8,7 +8,7 @@ which groups exist at all; a disabled module contributes no parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -21,17 +21,6 @@ from . import tensor as T
 from .config import ModelConfig
 from .data import Batch
 from .tensor import Tensor
-
-
-@dataclass
-class FusionState:
-    v_e: Tensor
-    l_e: Optional[Tensor]
-    f1: Optional[Tensor]
-    f2: Optional[Tensor]
-    gate: Optional[Tensor]
-    f: Tensor                    # (N, S_F, P) fused representation
-    f_row_mask: np.ndarray       # (N, S_F) bool, True = valid row
 
 
 @dataclass
@@ -80,28 +69,26 @@ class ReportModel:
 
     # -- forward ------------------------------------------------------
     def fuse(self, images: np.ndarray, kw_ids: Optional[np.ndarray],
-             kw_mask: Optional[np.ndarray]) -> FusionState:
+             kw_mask: Optional[np.ndarray]) -> Tuple[Tensor, np.ndarray]:
+        """(N, S_F, P) fused rows and their (N, S_F) validity mask for a batch
+        of images and keyword ids; a missing ``kw_mask`` marks every keyword
+        token real."""
         cfg = self.cfg
-        vis = encoders.encode_image(images, self.params, cfg)
-        v_e = vis.v_e
+        v_e = encoders.encode_image(images, self.params, cfg)
         n = v_e.shape[0]
         l_e = None
+        seq_valid = np.ones((n, cfg.s_v), dtype=bool)
         if cfg.use_keywords:
-            kw = encoders.encode_keywords(kw_ids, self.params, cfg, mask=kw_mask)
-            l_e, kw_mask = kw.l_e, kw.mask
-        vis_valid = np.ones((n, cfg.s_v), dtype=bool)
-        seq_valid = (np.concatenate([vis_valid, kw_mask], axis=1)
-                     if l_e is not None else vis_valid)
+            kw_mask = (np.ones(np.shape(kw_ids), dtype=bool) if kw_mask is None
+                       else np.asarray(kw_mask, dtype=bool))
+            l_e = encoders.encode_keywords(kw_ids, self.params, cfg, mask=kw_mask)
+            seq_valid = np.concatenate([seq_valid, kw_mask], axis=1)
 
-        f1 = f2 = gate = None
         parts: List[Tensor] = []
         if cfg.use_abstractor:
-            f1 = abs_mod.abstractor_forward(v_e, l_e, self.params, cfg, l_mask=kw_mask).f1
-            parts.append(f1)
+            parts.append(abs_mod.abstractor_forward(v_e, l_e, self.params, cfg, l_mask=kw_mask))
         if cfg.use_adaptor:
-            out = adp_mod.adaptor_forward(v_e, l_e, self.params, cfg, l_mask=kw_mask)
-            f2, gate = out.f2, out.gate
-            parts.append(f2)
+            parts.append(adp_mod.adaptor_forward(v_e, l_e, self.params, cfg, l_mask=kw_mask))
         if not parts:
             base = nn.linear(v_e, self.params["base.v.w"], self.params["base.v.b"])
             if l_e is not None:
@@ -109,41 +96,38 @@ class ReportModel:
                 base = T.concat([base, base_l], axis=-2)
             parts.append(base)
         f = parts[0] if len(parts) == 1 else T.concat(parts, axis=-2)
-        return FusionState(v_e=v_e, l_e=l_e, f1=f1, f2=f2, gate=gate, f=f,
-                           f_row_mask=np.concatenate([seq_valid] * len(parts), axis=1))
+        return f, np.concatenate([seq_valid] * len(parts), axis=1)
 
-    def _training_memory(self, state: FusionState, rep_in: np.ndarray,
-                         rep_in_valid: np.ndarray):
+    def _training_memory(self, f: Tensor, f_row_mask: np.ndarray,
+                         rep_in: np.ndarray, rep_in_valid: np.ndarray):
         """Fused rows plus teacher-forced report embeddings, with a mask that
         keeps the report segment causal."""
-        mem_f = dec_mod.project_memory(state.f, self.params)
+        mem_f = dec_mod.project_memory(f, self.params)
         e_r = T.embedding(self.params["dec.embed"], rep_in)
         memory = T.concat([mem_f, e_r], axis=-2)
         n, t = rep_in.shape
-        s_f = state.f.shape[1]
+        s_f = f.shape[1]
         mask = np.zeros((n, t, s_f + t), dtype=bool)
-        mask[:, :, :s_f] = state.f_row_mask[:, None, :]
+        mask[:, :, :s_f] = f_row_mask[:, None, :]
         causal = ~np.triu(np.ones((t, t), dtype=bool), k=1)
         mask[:, :, s_f:] = causal[None] & rep_in_valid[:, None, :]
         return memory, mask
 
     def losses(self, batch: Batch, lambda_align: float) -> LossReport:
         cfg = self.cfg
-        kw_ids = batch.kw_ids if cfg.use_keywords else None
-        kw_mask = batch.kw_mask if cfg.use_keywords else None
-        state = self.fuse(batch.images, kw_ids, kw_mask)
+        f, f_row_mask = self.fuse(batch.images, batch.kw_ids, batch.kw_mask)
 
         l_align = Tensor(np.zeros(1, dtype=cfg.dtype))
         if cfg.use_alignment:
-            f_emb = aln_mod.pool_fusion(state.f, self.params, row_mask=state.f_row_mask)
+            f_emb = aln_mod.pool_fusion(f, self.params, row_mask=f_row_mask)
             r_emb = aln_mod.embed_report(batch.rep_ids, self.params,
                                          mask=batch.rep_content_mask)
             tau = aln_mod.temperature(self.params)
-            l_align = aln_mod.info_nce(f_emb.emb, r_emb.emb, tau)
+            l_align = aln_mod.info_nce(f_emb, r_emb, tau)
 
         rep_in_valid = np.concatenate(
             [np.ones((len(batch), 1), dtype=bool), batch.rep_mask[:, :-1]], axis=1)
-        memory, mem_mask = self._training_memory(state, batch.rep_in, rep_in_valid)
+        memory, mem_mask = self._training_memory(f, f_row_mask, batch.rep_in, rep_in_valid)
         logits = dec_mod.decoder_forward(batch.rep_in, memory, self.params, cfg,
                                          mem_mask=mem_mask)
         l_ce, l_ce_tok = dec_mod.cross_entropy(logits, batch.rep_tgt, batch.rep_mask)
@@ -176,29 +160,25 @@ class ReportModel:
             raise ValueError(f"unknown decode mode {mode!r}")
         cfg = self.cfg
         single = image.ndim == 3
-        images = image[None] if single else image
-        if cfg.use_keywords:
-            kw_ids = np.asarray(kw_ids)
-            if kw_ids.ndim == 1:
-                kw_ids = kw_ids[None]
-                kw_mask = None if kw_mask is None else np.asarray(kw_mask)[None]
-        n = images.shape[0]
+        if single:
+            image, kw_ids, kw_mask = (None if a is None else np.asarray(a)[None]
+                                      for a in (image, kw_ids, kw_mask))
+        n = image.shape[0]
         rng = np.random.default_rng(seed)
         tokens: List[List[int]] = [[] for _ in range(n)]
         with T.no_grad():
-            state = self.fuse(images, kw_ids if cfg.use_keywords else None,
-                              kw_mask if cfg.use_keywords else None)
+            f, f_row_mask = self.fuse(image, kw_ids, kw_mask)
             embed = self.params["dec.embed"].data
             # the memory grows with the embeddings of already-consumed tokens,
             # mirroring the causally masked report segment seen in training;
             # its rows and mask are allocated once and filled step by step
             cache = dec_mod.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, max_len)
-            mem_f = dec_mod.project_memory(state.f, self.params).data
+            mem_f = dec_mod.project_memory(f, self.params).data
             s_f = mem_f.shape[1]
             memory = np.empty((n, s_f + max_len, cfg.dec_d), dtype=embed.dtype)
             memory[:, :s_f] = mem_f
             mem_mask = np.ones((n, 1, s_f + max_len), dtype=bool)
-            mem_mask[:, 0, :s_f] = state.f_row_mask
+            mem_mask[:, 0, :s_f] = f_row_mask
             cur = np.full(n, bos_id)
             live = np.ones(n, dtype=bool)
             for pos in range(max_len):

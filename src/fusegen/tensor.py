@@ -213,14 +213,6 @@ def _toposort(root: Tensor) -> list:
     return order
 
 
-def _needs_tape(*tensors: Tensor) -> bool:
-    """True when any operand is a leaf that wants a gradient or lies on the tape."""
-    for t in tensors:
-        if t.requires_grad or t._backward is not None:
-            return True
-    return False
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` over axes that were broadcast to reach ``grad.shape``."""
     if grad.shape == shape:
@@ -238,7 +230,7 @@ def _make(out_data, children, backward) -> Tensor:
     if not _GRAD_ENABLED:
         return Tensor(out_data)
     out = Tensor(out_data, _children=tuple(children))
-    if _needs_tape(*children):
+    if any(c.requires_grad for c in children):
         out.requires_grad = True
         out._backward = backward
     else:
@@ -254,9 +246,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        if _needs_tape(a):
+        if a.requires_grad:
             a._accum(_unbroadcast(g, a.shape))
-        if _needs_tape(b):
+        if b.requires_grad:
             b._accum(_unbroadcast(g, b.shape))
 
     return _make(data, (a, b), backward)
@@ -266,9 +258,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
 
     def backward(g):
-        if _needs_tape(a):
+        if a.requires_grad:
             a._accum(_unbroadcast(g, a.shape))
-        if _needs_tape(b):
+        if b.requires_grad:
             b._accum(_unbroadcast(-g, b.shape))
 
     return _make(data, (a, b), backward)
@@ -278,9 +270,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        if _needs_tape(a):
+        if a.requires_grad:
             a._accum(_unbroadcast(g * b.data, a.shape))
-        if _needs_tape(b):
+        if b.requires_grad:
             b._accum(_unbroadcast(g * a.data, b.shape))
 
     return _make(data, (a, b), backward)
@@ -290,9 +282,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     data = a.data / b.data
 
     def backward(g):
-        if _needs_tape(a):
+        if a.requires_grad:
             a._accum(_unbroadcast(g / b.data, a.shape))
-        if _needs_tape(b):
+        if b.requires_grad:
             b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make(data, (a, b), backward)
@@ -321,24 +313,6 @@ def log(a: Tensor) -> Tensor:
 
     def backward(g):
         a._accum(g / a.data)
-
-    return _make(data, (a,), backward)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    data = np.sqrt(a.data)
-
-    def backward(g):
-        a._accum(g * 0.5 / data)
-
-    return _make(data, (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
-
-    def backward(g):
-        a._accum(g * (1.0 - data * data))
 
     return _make(data, (a,), backward)
 
@@ -407,13 +381,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     flat = b.ndim == 2 and a.ndim > 2
 
     def backward(g):
-        if _needs_tape(a):
+        if a.requires_grad:
             if flat:
                 a._accum((g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape))
             else:
                 ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
                 a._accum(_unbroadcast(ga, a.shape))
-        if _needs_tape(b):
+        if b.requires_grad:
             if flat:
                 b._accum(a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
             else:
@@ -472,7 +446,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if _needs_tape(t):
+            if t.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
                 t._accum(g[tuple(idx)])
@@ -585,13 +559,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = xc * inv
 
     def backward(g):
-        if _needs_tape(x):
+        if x.requires_grad:
             gh = g * gain.data
             x._accum(inv * (gh - gh.mean(axis=-1, keepdims=True)
                             - xhat * (gh * xhat).mean(axis=-1, keepdims=True)))
-        if _needs_tape(gain):
+        if gain.requires_grad:
             gain._accum(_unbroadcast(g * xhat, gain.shape))
-        if _needs_tape(bias):
+        if bias.requires_grad:
             bias._accum(_unbroadcast(g, bias.shape))
 
     return _make(xhat * gain.data + bias.data, (x, gain, bias), backward)
@@ -603,10 +577,10 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     xhat = x.data * inv
 
     def backward(g):
-        if _needs_tape(x):
+        if x.requires_grad:
             gh = g * gain.data
             x._accum(inv * (gh - xhat * (gh * xhat).mean(axis=-1, keepdims=True)))
-        if _needs_tape(gain):
+        if gain.requires_grad:
             gain._accum(_unbroadcast(g * xhat, gain.shape))
 
     return _make(xhat * gain.data, (x, gain), backward)

@@ -21,19 +21,23 @@ def _setup(mode="softmax"):
 
 def test_output_shapes():
     cfg, params, v_e, l_e = _setup()
-    out = A.abstractor_forward(v_e, l_e, params, cfg)
-    assert out.v_proj.shape == (2, 5, cfg.p)
-    assert out.l_proj.shape == (2, 3, cfg.p)
-    assert out.v2l.shape == (2, 5, cfg.p)
-    assert out.l2v.shape == (2, 3, cfg.p)
-    assert out.f1.shape == (2, 8, cfg.p)
+    f1 = A.abstractor_forward(v_e, l_e, params, cfg)
+    v_p, l_p = A.project_modalities(v_e, l_e, params)
+    (v2l, l2v), _ = A.bidirectional_cross_attention(v_p, l_p, cfg.attn_norm)
+    assert v_p.shape == (2, 5, cfg.p)
+    assert l_p.shape == (2, 3, cfg.p)
+    assert v2l.shape == (2, 5, cfg.p)
+    assert l2v.shape == (2, 3, cfg.p)
+    assert f1.shape == (2, 8, cfg.p)
 
 
 def test_f1_row_order_visual_first():
     cfg, params, v_e, l_e = _setup()
-    out = A.abstractor_forward(v_e, l_e, params, cfg)
-    np.testing.assert_allclose(out.f1.data[:, :5], out.v2l.data)
-    np.testing.assert_allclose(out.f1.data[:, 5:], out.l2v.data)
+    f1 = A.abstractor_forward(v_e, l_e, params, cfg)
+    (v2l, l2v), _ = A.bidirectional_cross_attention(
+        *A.project_modalities(v_e, l_e, params), cfg.attn_norm)
+    np.testing.assert_allclose(f1.data[:, :5], v2l.data)
+    np.testing.assert_allclose(f1.data[:, 5:], l2v.data)
 
 
 def test_projection_straight_line_oracle():
@@ -52,7 +56,7 @@ def test_projection_straight_line_oracle():
 def test_cross_attention_straight_line_oracle():
     cfg, params, v_e, l_e = _setup()
     v_p, l_p = A.project_modalities(v_e, l_e, params)
-    v2l, l2v = A.bidirectional_cross_attention(v_p, l_p, "softmax")
+    (v2l, l2v), _ = A.bidirectional_cross_attention(v_p, l_p, "softmax")
 
     scale = 1.0 / np.sqrt(cfg.p)
     logits = v_p.data @ np.swapaxes(l_p.data, -1, -2) * scale
@@ -64,8 +68,7 @@ def test_cross_attention_straight_line_oracle():
 def test_attention_rows_are_stochastic():
     cfg, params, v_e, l_e = _setup()
     v_p, l_p = A.project_modalities(v_e, l_e, params)
-    _, (w_v2l, w_l2v) = A.bidirectional_cross_attention(v_p, l_p, "softmax",
-                                                        return_weights=True)
+    _, (w_v2l, w_l2v) = A.bidirectional_cross_attention(v_p, l_p, "softmax")
     np.testing.assert_allclose(w_v2l.data.sum(axis=-1), 1.0, atol=1e-9)
     np.testing.assert_allclose(w_l2v.data.sum(axis=-1), 1.0, atol=1e-9)
     assert (w_v2l.data >= 0).all() and (w_l2v.data >= 0).all()
@@ -75,7 +78,7 @@ def test_v2l_rows_in_convex_hull_of_language_rows():
     # recover simplex weights from the output by least squares
     cfg, params, v_e, l_e = _setup()
     v_p, l_p = A.project_modalities(v_e, l_e, params)
-    v2l, _ = A.bidirectional_cross_attention(v_p, l_p, "softmax")
+    (v2l, _), _ = A.bidirectional_cross_attention(v_p, l_p, "softmax")
     basis = l_p.data[0]                      # (3, P)
     for row in v2l.data[0]:
         w, *_ = np.linalg.lstsq(basis.T, row, rcond=None)
@@ -89,7 +92,7 @@ def test_language_mask_removes_padded_keys():
     v_p, l_p = A.project_modalities(v_e, l_e, params)
     l_mask = np.array([[True, True, False], [True, True, True]])
     (_, _), (w_v2l, _) = A.bidirectional_cross_attention(
-        v_p, l_p, "softmax", l_mask=l_mask, return_weights=True)
+        v_p, l_p, "softmax", l_mask=l_mask)
     assert (w_v2l.data[0, :, 2] == 0.0).all()
     np.testing.assert_allclose(w_v2l.data.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -97,8 +100,7 @@ def test_language_mask_removes_padded_keys():
 def test_sigmoid_mode_weights_are_gates():
     cfg, params, v_e, l_e = _setup("sigmoid")
     v_p, l_p = A.project_modalities(v_e, l_e, params)
-    _, (w_v2l, _) = A.bidirectional_cross_attention(v_p, l_p, "sigmoid",
-                                                    return_weights=True)
+    _, (w_v2l, _) = A.bidirectional_cross_attention(v_p, l_p, "sigmoid")
     assert (w_v2l.data > 0).all() and (w_v2l.data < 1).all()
 
 
@@ -116,7 +118,7 @@ def test_forward_grad_check(mode):
     r = Tensor(RNG.normal(0, 1, (2, 8, cfg.p)))
 
     def f(v):
-        return (A.abstractor_forward(v, l_e, params, cfg).f1 * r).sum()
+        return (A.abstractor_forward(v, l_e, params, cfg) * r).sum()
 
     assert T.grad_check(f, v_e) < 1e-6
 
@@ -127,6 +129,6 @@ def test_sigmoid_fully_masked_row_gets_zero_weights():
     v_p, l_p = A.project_modalities(v_e, l_e, params)
     l_mask = np.array([[False, False, False], [True, True, False]])
     (v2l, _), (w_v2l, _) = A.bidirectional_cross_attention(
-        v_p, l_p, "sigmoid", l_mask=l_mask, return_weights=True)
+        v_p, l_p, "sigmoid", l_mask=l_mask)
     assert (w_v2l.data[0] == 0.0).all() and (v2l.data[0] == 0.0).all()
     assert (w_v2l.data[1, :, :2] > 0).all() and (w_v2l.data[1, :, 2] == 0.0).all()

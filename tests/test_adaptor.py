@@ -38,7 +38,8 @@ def test_unified_input_stacks_segments():
 def test_indicator_scales_rows():
     cfg, params, v_e, l_e = _setup()
     x = AD.build_unified_input(v_e, l_e, params)
-    x_v, x_l, gate = AD.apply_modality_indicator(x, params["adp.ind.raw"], cfg.s_v)
+    x_v, x_l = AD.apply_modality_indicator(x, params["adp.ind.raw"], cfg.s_v)
+    gate = T.sigmoid(params["adp.ind.raw"])
     np.testing.assert_allclose(x_v.data, x.data[:, :cfg.s_v] * gate.data[:cfg.s_v, None],
                                atol=1e-12)
     np.testing.assert_allclose(x_l.data, x.data[:, cfg.s_v:] * gate.data[cfg.s_v:, None],
@@ -54,17 +55,17 @@ def test_indicator_length_mismatch_raises():
 
 def test_forward_shapes():
     cfg, params, v_e, l_e = _setup()
-    out = AD.adaptor_forward(v_e, l_e, params, cfg)
+    f2 = AD.adaptor_forward(v_e, l_e, params, cfg)
     s = cfg.s_v + cfg.s_l
-    assert out.x_unified.shape == (2, s, cfg.e_l)
-    assert out.gate.shape == (s,)
-    assert out.f2.shape == (2, s, cfg.p)
+    assert AD.build_unified_input(v_e, l_e, params).shape == (2, s, cfg.e_l)
+    assert T.sigmoid(params["adp.ind.raw"]).shape == (s,)
+    assert f2.shape == (2, s, cfg.p)
 
 
 def test_decoupled_attention_straight_line_oracle():
     """Recompute F2 with plain numpy: shared queries, per-segment keys/values."""
     cfg, params, v_e, l_e = _setup()
-    out = AD.adaptor_forward(v_e, l_e, params, cfg)
+    f2 = AD.adaptor_forward(v_e, l_e, params, cfg)
 
     def np_ln(x, g, b, eps):
         mu = x.mean(-1, keepdims=True)
@@ -84,7 +85,7 @@ def test_decoupled_attention_straight_line_oracle():
     logits = q @ np.swapaxes(k, -1, -2) / np.sqrt(cfg.p)
     e = np.exp(logits - logits.max(-1, keepdims=True))
     w = e / e.sum(-1, keepdims=True)
-    np.testing.assert_allclose(out.f2.data, w @ v, atol=1e-10)
+    np.testing.assert_allclose(f2.data, w @ v, atol=1e-10)
 
 
 def test_language_mask_blocks_padded_keys():
@@ -92,10 +93,10 @@ def test_language_mask_blocks_padded_keys():
         cfg, params, v_e, l_e = _setup(mode)
         l_mask = np.zeros((2, cfg.s_l), dtype=bool)
         l_mask[:, :2] = True
-        a = AD.adaptor_forward(v_e, l_e, params, cfg, l_mask=l_mask).f2.data
+        a = AD.adaptor_forward(v_e, l_e, params, cfg, l_mask=l_mask).data
         l2 = Tensor(l_e.data.copy())
         l2.data[:, 2:] += 5.0       # only padded keyword rows change
-        b = AD.adaptor_forward(v_e, l2, params, cfg, l_mask=l_mask).f2.data
+        b = AD.adaptor_forward(v_e, l2, params, cfg, l_mask=l_mask).data
         # rows that query from the visual segment and valid language rows agree
         np.testing.assert_allclose(a[:, :cfg.s_v + 2], b[:, :cfg.s_v + 2], atol=1e-12,
                                    err_msg=mode)
@@ -104,9 +105,9 @@ def test_language_mask_blocks_padded_keys():
 def test_zero_visual_gate_makes_f2_image_independent():
     cfg, params, v_e, l_e = _setup()
     params["adp.ind.raw"].data[:cfg.s_v] = -np.inf
-    a = AD.adaptor_forward(v_e, l_e, params, cfg).f2.data
+    a = AD.adaptor_forward(v_e, l_e, params, cfg).data
     v2 = Tensor(RNG.normal(0, 1, v_e.shape))
-    b = AD.adaptor_forward(v2, l_e, params, cfg).f2.data
+    b = AD.adaptor_forward(v2, l_e, params, cfg).data
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -116,6 +117,6 @@ def test_forward_grad_check(mode):
     r = Tensor(RNG.normal(0, 1, (2, cfg.s_v + cfg.s_l, cfg.p)))
 
     def f(v):
-        return (AD.adaptor_forward(v, l_e, params, cfg).f2 * r).sum()
+        return (AD.adaptor_forward(v, l_e, params, cfg) * r).sum()
 
     assert T.grad_check(f, v_e) < 1e-6

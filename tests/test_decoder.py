@@ -150,7 +150,7 @@ def test_cached_equals_uncached_attention():
     x = RNG.normal(0, 1, (1, t, cfg.dec_d))
     full = DEC.gqa_attention(Tensor(x), params, cfg, layer=0).data
 
-    cache = DEC.KVCache(1, cfg.n_kv, cfg.head_dim)
+    cache = DEC.KVCache(1, cfg.n_kv, cfg.head_dim, t)
     step_out = np.zeros_like(full)
     for pos in range(t):
         o = DEC.gqa_attention(Tensor(x[:, pos:pos + 1]), params, cfg, layer=0,
@@ -161,7 +161,7 @@ def test_cached_equals_uncached_attention():
 
 def test_cache_grows_one_per_step_and_checks_position():
     cfg, params = _setup()
-    cache = DEC.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim)
+    cache = DEC.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, 8)
     x = Tensor(RNG.normal(0, 1, (1, 1, cfg.dec_d)))
     DEC.gqa_attention(x, params, cfg, layer=0, cache=cache, start_pos=0)
     assert cache.length(0) == 1
@@ -176,10 +176,10 @@ def test_cached_decoding_matches_full_forward():
     cfg, params = _setup()
     mem = _memory(cfg)
     ids = RNG.integers(0, cfg.vocab_size, 7)
-    full = DEC.decoder_forward(ids, mem, params, cfg).data[0]
-    cache = DEC.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim)
+    full = DEC.decoder_forward(ids[None], mem, params, cfg).data[0]
+    cache = DEC.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, len(ids))
     for pos, tok in enumerate(ids):
-        row = DEC.decode_step(int(tok), pos, mem, params, cfg, cache)
+        row = DEC.decode_step(ids[None, pos], pos, mem, params, cfg, cache)[0]
         np.testing.assert_allclose(row, full[pos], atol=1e-8)
 
 
@@ -189,7 +189,7 @@ def test_batched_decode_step_rows_match_full_forward_per_stream():
     mem = _memory(cfg, n=n)
     ids = RNG.integers(0, cfg.vocab_size, (n, t))
     full = DEC.decoder_forward(ids, mem, params, cfg).data
-    cache = DEC.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim)
+    cache = DEC.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, t)
     for pos in range(t):
         rows = DEC.decode_step(ids[:, pos], pos, mem, params, cfg, cache)
         assert rows.shape == (n, cfg.vocab_size)
@@ -204,7 +204,7 @@ def test_cross_attention_kv_cache_matches_uncached():
     mem = RNG.normal(0, 1, (n, 8, cfg.dec_d))
     mask = RNG.uniform(size=(n, 1, 8)) > 0.3
     mask[:, :, 0] = True
-    cache = DEC.KVCache(1, cfg.n_kv, cfg.head_dim)
+    cache = DEC.KVCache(1, cfg.n_kv, cfg.head_dim, 4)
     for rows in (5, 5, 6, 8):
         x = Tensor(RNG.normal(0, 1, (n, 1, cfg.dec_d)))
         m = Tensor(mem[:, :rows])
@@ -219,13 +219,15 @@ def test_cache_fills_its_buffers_in_place():
     cache = DEC.KVCache(1, cfg.n_kv, cfg.head_dim, max_len=3)
     steps = [RNG.normal(0, 1, (2, cfg.n_kv, 1, cfg.head_dim)) for _ in range(4)]
     views = []
-    for k in steps:
+    for k in steps[:3]:
         cache.append(0, k, -k)
         views.append(cache.k[0])
-    np.testing.assert_array_equal(views[-1], np.concatenate(steps, axis=2))
+    np.testing.assert_array_equal(views[-1], np.concatenate(steps[:3], axis=2))
     np.testing.assert_array_equal(cache.v[0], -views[-1])
-    # three steps share one buffer; the fourth outgrows it and moves
-    assert views[0].base is views[2].base and views[3].base is not views[0].base
+    # three steps share one buffer; a fourth does not fit and raises
+    assert views[0].base is views[2].base
+    with pytest.raises(ValueError, match="full"):
+        cache.append(0, steps[3], -steps[3])
     for t, view in enumerate(views):   # earlier views never change
         np.testing.assert_array_equal(view, np.concatenate(steps[:t + 1], axis=2))
     rows = RNG.normal(0, 1, (2, cfg.n_q, 7, cfg.head_dim))
@@ -233,11 +235,13 @@ def test_cache_fills_its_buffers_in_place():
         cache.extend_memory(0, rows[:, :, lo:hi], rows[:, :, lo:hi])
         assert cache.mem_k[0].base.shape[2] == 7
     np.testing.assert_array_equal(cache.mem_k[0], rows)
+    with pytest.raises(ValueError, match="full"):
+        cache.extend_memory(0, rows[:, :, :1], rows[:, :, :1])
 
 
 def test_cache_rejects_changed_stream_count():
     cfg, _ = _setup()
-    cache = DEC.KVCache(1, cfg.n_kv, cfg.head_dim)
+    cache = DEC.KVCache(1, cfg.n_kv, cfg.head_dim, 2)
     cache.append(0, np.zeros((2, cfg.n_kv, 1, cfg.head_dim)),
                  np.zeros((2, cfg.n_kv, 1, cfg.head_dim)))
     with pytest.raises(ValueError):
@@ -254,11 +258,11 @@ def test_causality_future_tokens_cannot_leak():
         cfg, params = _setup(attn_norm=mode)
         mem = _memory(cfg)
         ids = RNG.integers(0, cfg.vocab_size, 8)
-        base = DEC.decoder_forward(ids, mem, params, cfg).data[0]
+        base = DEC.decoder_forward(ids[None], mem, params, cfg).data[0]
         for t in (2, 5):
             perturbed = ids.copy()
             perturbed[t + 1:] = RNG.integers(0, cfg.vocab_size, len(ids) - t - 1)
-            out = DEC.decoder_forward(perturbed, mem, params, cfg).data[0]
+            out = DEC.decoder_forward(perturbed[None], mem, params, cfg).data[0]
             np.testing.assert_allclose(out[: t + 1], base[: t + 1], atol=1e-12, err_msg=mode)
 
 
@@ -270,10 +274,10 @@ def test_cross_attention_memory_mask():
         mask = np.ones((1, 1, mem_rows), dtype=bool)
         mask[0, 0, 3:] = False
         ids = RNG.integers(0, cfg.vocab_size, 4)
-        a = DEC.decoder_forward(ids, mem, params, cfg, mem_mask=mask).data
+        a = DEC.decoder_forward(ids[None], mem, params, cfg, mem_mask=mask).data
         mem2 = Tensor(mem.data.copy())
         mem2.data[0, 3:] += 7.0       # masked rows only
-        b = DEC.decoder_forward(ids, mem2, params, cfg, mem_mask=mask).data
+        b = DEC.decoder_forward(ids[None], mem2, params, cfg, mem_mask=mask).data
         np.testing.assert_allclose(a, b, atol=1e-12, err_msg=mode)
 
 
@@ -281,7 +285,7 @@ def test_decoder_rejects_overlong_sequence():
     cfg, params = _setup()
     mem = _memory(cfg)
     with pytest.raises(ConfigError):
-        DEC.decoder_forward(np.zeros(cfg.max_report_len + 2, dtype=int),
+        DEC.decoder_forward(np.zeros((1, cfg.max_report_len + 2), dtype=int),
                             mem, params, cfg)
 
 

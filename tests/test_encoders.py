@@ -29,16 +29,8 @@ def test_image_encoder_output_shape():
     params = _img_params(cfg)
     imgs = RNG.uniform(0, 1, (3, cfg.image_side, cfg.image_side, 1))
     out = encoders.encode_image(imgs, params, cfg)
-    assert out.v_e.shape == (3, cfg.s_v, cfg.e_v)
-    assert out.grid_side == cfg.image_side // 8
-
-
-def test_image_encoder_accepts_single_image():
-    cfg = toy_config()
-    params = _img_params(cfg)
-    img = RNG.uniform(0, 1, (cfg.image_side, cfg.image_side, 1))
-    out = encoders.encode_image(img, params, cfg)
-    assert out.v_e.shape == (1, cfg.s_v, cfg.e_v)
+    assert out.shape == (3, cfg.s_v, cfg.e_v)
+    assert cfg.grid_side == cfg.image_side // 8
 
 
 def test_image_encoder_rejects_bad_side():
@@ -55,11 +47,11 @@ def test_image_encoder_runs_in_the_model_dtype():
     params = {k: Tensor(p.data.astype(np.float32), requires_grad=True)
               for k, p in _img_params(cfg).items()}
     img = RNG.uniform(0, 1, (2, cfg.image_side, cfg.image_side, 1))
-    assert encoders.encode_image(img, params, cfg).v_e.data.dtype == np.float32
+    assert encoders.encode_image(img, params, cfg).data.dtype == np.float32
     with pytest.raises(ConfigError, match="float64.*float32"):
         encoders.encode_image(Tensor(img), params, cfg)
     x = Tensor(img.astype(np.float32), requires_grad=True)
-    v = encoders.encode_image(x, params, cfg).v_e
+    v = encoders.encode_image(x, params, cfg)
     assert v.data.dtype == np.float32
     (v * v).sum().backward()
     assert x.grad.dtype == np.float32 and np.abs(x.grad).sum() > 0
@@ -100,7 +92,7 @@ def test_image_encoder_straight_line_oracle():
     ctx = (w[..., None] * x).sum(axis=1, keepdims=True)
     expect = x + ctx @ params["img.ctx.w_proj"].data
 
-    got = encoders.encode_image(img, params, cfg).v_e.data
+    got = encoders.encode_image(img, params, cfg).data
     np.testing.assert_allclose(got, expect, atol=1e-10)
 
 
@@ -112,8 +104,8 @@ def test_image_encoder_not_permutation_invariant():
     img[0, 0:4, 0:4, 0] = 1.0
     moved = np.zeros_like(img)
     moved[0, 8:12, 8:12, 0] = 1.0
-    a = encoders.encode_image(img, params, cfg).v_e.data
-    b = encoders.encode_image(moved, params, cfg).v_e.data
+    a = encoders.encode_image(img, params, cfg).data
+    b = encoders.encode_image(moved, params, cfg).data
     # sorting rows cannot make the two feature sets equal
     assert not np.allclose(np.sort(a, axis=1), np.sort(b, axis=1))
 
@@ -128,8 +120,7 @@ def test_keyword_encoder_shape_and_mask():
     ids = RNG.integers(0, cfg.vocab_size, (2, cfg.s_l))
     mask = np.array([[True, True, False, False], [True, True, True, True]])
     out = encoders.encode_keywords(ids, params, cfg, mask=mask)
-    assert out.l_e.shape == (2, cfg.s_l, cfg.e_l)
-    np.testing.assert_array_equal(out.mask, mask)
+    assert out.shape == (2, cfg.s_l, cfg.e_l)
 
 
 def test_padding_ids_cannot_leak_into_valid_positions():
@@ -138,10 +129,10 @@ def test_padding_ids_cannot_leak_into_valid_positions():
         params = _kw_params(cfg)
         ids = np.array([[5, 6, 1, 2]])
         mask = np.array([[True, True, False, False]])
-        a = encoders.encode_keywords(ids, params, cfg, mask=mask).l_e.data
+        a = encoders.encode_keywords(ids, params, cfg, mask=mask).data
         ids2 = ids.copy()
         ids2[0, 2:] = [9, 9]          # change only padded positions
-        b = encoders.encode_keywords(ids2, params, cfg, mask=mask).l_e.data
+        b = encoders.encode_keywords(ids2, params, cfg, mask=mask).data
         np.testing.assert_allclose(a[0, :2], b[0, :2], atol=1e-12, err_msg=mode)
 
 
@@ -158,15 +149,17 @@ def test_keyword_encoder_rejects_overlong():
     cfg = toy_config()
     params = _kw_params(cfg)
     with pytest.raises(ConfigError):
-        encoders.encode_keywords(np.zeros((1, cfg.s_l + 1), dtype=int), params, cfg)
+        encoders.encode_keywords(np.zeros((1, cfg.s_l + 1), dtype=int), params, cfg,
+                                 mask=np.ones((1, cfg.s_l + 1), dtype=bool))
 
 
 def test_keyword_encoder_permutation_sensitivity():
     # with positions on, token order matters
     cfg = toy_config()
     params = _kw_params(cfg)
-    a = encoders.encode_keywords(np.array([[5, 6, 7, 8]]), params, cfg).l_e.data
-    b = encoders.encode_keywords(np.array([[8, 7, 6, 5]]), params, cfg).l_e.data
+    mask = np.ones((1, 4), dtype=bool)
+    a = encoders.encode_keywords(np.array([[5, 6, 7, 8]]), params, cfg, mask=mask).data
+    b = encoders.encode_keywords(np.array([[8, 7, 6, 5]]), params, cfg, mask=mask).data
     assert not np.allclose(np.sort(a, axis=1), np.sort(b, axis=1))
 
 
@@ -177,8 +170,8 @@ def test_encoders_grad_flow():
     params.update(_kw_params(cfg))
     img = RNG.uniform(0, 1, (1, cfg.image_side, cfg.image_side, 1))
     ids = np.array([[5, 6, 7, 8]])
-    v = encoders.encode_image(img, params, cfg).v_e
-    l = encoders.encode_keywords(ids, params, cfg).l_e
+    v = encoders.encode_image(img, params, cfg)
+    l = encoders.encode_keywords(ids, params, cfg, mask=np.ones((1, 4), dtype=bool))
     ((v * v).sum() + (l * l).sum()).backward()
     for name in ("img.block0.w", "img.pos", "kw.embed", "kw.layer0.attn.w_q"):
         assert params[name].grad is not None

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from fusegen import abstractor as ABS
+from fusegen import adaptor as ADP
 from fusegen import cli
 from fusegen import data as D
 from fusegen import decoder as DEC
+from fusegen import encoders
 from fusegen import tensor as T
 from fusegen import training as TR
 from fusegen.config import ConfigError, ModelConfig, TrainConfig
@@ -26,12 +29,16 @@ def test_fusion_row_layout_both_stages():
     cfg = toy_config()
     model = ReportModel(cfg)
     _, _, batch = _batch(cfg)
-    state = model.fuse(batch.images, batch.kw_ids, batch.kw_mask)
+    f, f_row_mask = model.fuse(batch.images, batch.kw_ids, batch.kw_mask)
+    v_e = encoders.encode_image(batch.images, model.params, cfg)
+    l_e = encoders.encode_keywords(batch.kw_ids, model.params, cfg, mask=batch.kw_mask)
+    f1 = ABS.abstractor_forward(v_e, l_e, model.params, cfg, l_mask=batch.kw_mask)
+    f2 = ADP.adaptor_forward(v_e, l_e, model.params, cfg, l_mask=batch.kw_mask)
     s = cfg.s_v + cfg.s_l
-    assert state.f.shape == (2, 2 * s, cfg.p)        # F1 rows then F2 rows
-    np.testing.assert_allclose(state.f.data[:, :s], state.f1.data)
-    np.testing.assert_allclose(state.f.data[:, s:], state.f2.data)
-    assert state.f_row_mask.shape == (2, 2 * s)
+    assert f.shape == (2, 2 * s, cfg.p)        # F1 rows then F2 rows
+    np.testing.assert_allclose(f.data[:, :s], f1.data)
+    np.testing.assert_allclose(f.data[:, s:], f2.data)
+    assert f_row_mask.shape == (2, 2 * s)
 
 
 @pytest.mark.parametrize("toggles, expect_rows", [
@@ -43,17 +50,19 @@ def test_fusion_toggles_change_row_count(toggles, expect_rows):
     cfg = toy_config(**toggles)
     model = ReportModel(cfg)
     _, _, batch = _batch(cfg)
-    state = model.fuse(batch.images, batch.kw_ids, batch.kw_mask)
-    assert state.f.shape[1] == expect_rows * (cfg.s_v + cfg.s_l)
+    f, _ = model.fuse(batch.images, batch.kw_ids, batch.kw_mask)
+    assert f.shape[1] == expect_rows * (cfg.s_v + cfg.s_l)
 
 
 def test_visual_only_configuration():
     cfg = toy_config(use_keywords=False, use_abstractor=False, use_adaptor=False)
     model = ReportModel(cfg)
     _, _, batch = _batch(cfg)
-    state = model.fuse(batch.images, None, None)
-    assert state.l_e is None
-    assert state.f.shape[1] == cfg.s_v
+    f, _ = model.fuse(batch.images, None, None)
+    # keyword inputs play no part in the fused rows
+    np.testing.assert_array_equal(
+        model.fuse(batch.images, batch.kw_ids, batch.kw_mask)[0].data, f.data)
+    assert f.shape[1] == cfg.s_v
     report = model.losses(batch, lambda_align=0.5)
     assert np.isfinite(report.l_total)
 
@@ -96,18 +105,18 @@ def test_training_memory_report_segment_is_causal():
     cfg = toy_config()
     model = ReportModel(cfg)
     vocab, _, batch = _batch(cfg, n=1)
-    state = model.fuse(batch.images, batch.kw_ids, batch.kw_mask)
+    f, f_row_mask = model.fuse(batch.images, batch.kw_ids, batch.kw_mask)
     valid = np.concatenate([np.ones((1, 1), dtype=bool), batch.rep_mask[:, :-1]], axis=1)
 
-    mem, mask = model._training_memory(state, batch.rep_in, valid)
+    mem, mask = model._training_memory(f, f_row_mask, batch.rep_in, valid)
     base = DEC.decoder_forward(batch.rep_in, mem, model.params, cfg,
                                mem_mask=mask).data[0]
 
     t = 3
     rep2 = batch.rep_in.copy()
     rep2[0, t + 1:] = RNG.integers(5, len(vocab), rep2.shape[1] - t - 1)
-    state2 = model.fuse(batch.images, batch.kw_ids, batch.kw_mask)
-    mem2, mask2 = model._training_memory(state2, rep2, valid)
+    f2, f_row_mask2 = model.fuse(batch.images, batch.kw_ids, batch.kw_mask)
+    mem2, mask2 = model._training_memory(f2, f_row_mask2, rep2, valid)
     out = DEC.decoder_forward(rep2, mem2, model.params, cfg, mem_mask=mask2).data[0]
     np.testing.assert_allclose(out[: t + 1], base[: t + 1], atol=1e-12)
 
@@ -116,8 +125,8 @@ def _greedy_uncached(model, image, kw_ids, kw_mask, bos_id, eos_id, max_len):
     """Reference decode without a KV cache: every step re-runs the
     teacher-forced decoder over the whole prefix, with the memory holding the
     fused rows plus the causally masked prefix embeddings."""
-    state = model.fuse(image[None], kw_ids[None], kw_mask[None])
-    mem_f = Tensor(DEC.project_memory(state.f, model.params).data)
+    f, f_row_mask = model.fuse(image[None], kw_ids[None], kw_mask[None])
+    mem_f = Tensor(DEC.project_memory(f, model.params).data)
     embed = model.params["dec.embed"]
     s_f = mem_f.shape[1]
     seq, tokens = [bos_id], []
@@ -126,7 +135,7 @@ def _greedy_uncached(model, image, kw_ids, kw_mask, bos_id, eos_id, max_len):
         t = rep.shape[1]
         memory = T.concat([mem_f, Tensor(embed.data[rep])], axis=-2)
         mask = np.zeros((1, t, s_f + t), dtype=bool)
-        mask[:, :, :s_f] = state.f_row_mask[:, None, :]
+        mask[:, :, :s_f] = f_row_mask[:, None, :]
         mask[:, :, s_f:] = ~np.triu(np.ones((t, t), dtype=bool), k=1)
         logits = DEC.decoder_forward(rep, memory, model.params, model.cfg, mem_mask=mask)
         cur = int(np.argmax(logits.data[0, -1]))
@@ -183,6 +192,21 @@ def test_generate_batch_equals_uncached_per_stream(trained_toy):
               for s, (ids, m) in zip(samples, enc)]
     assert batched == expect
     assert len({len(t) for t in batched}) >= 3
+
+
+def test_generate_missing_keyword_mask_means_all_tokens_real(trained_toy):
+    model, vocab, samples = trained_toy
+    enc = [D.encode_keyword_string(vocab, s.keywords, model.cfg.s_l) for s in samples[:4]]
+    assert not all(m.all() for _, m in enc)     # some keyword rows carry padding
+    for s, (ids, m) in zip(samples, enc):
+        ones = np.ones_like(m)
+        assert (model.generate(s.image, ids, None, vocab.bos_id, vocab.eos_id, 8)
+                == model.generate(s.image, ids, ones, vocab.bos_id, vocab.eos_id, 8))
+    images = np.stack([s.image for s in samples[:4]])
+    kw_ids = np.stack([ids for ids, _ in enc])
+    assert (model.generate(images, kw_ids, None, vocab.bos_id, vocab.eos_id, 8)
+            == model.generate(images, kw_ids, np.ones(kw_ids.shape, dtype=bool),
+                              vocab.bos_id, vocab.eos_id, 8))
 
 
 @pytest.mark.parametrize("decode_batch", [5, 64])
