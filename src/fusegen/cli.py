@@ -33,7 +33,6 @@ ABLATION_GRID = [
     ("KAAA", True, True, True, True),
 ]
 
-MAX_REPORT_TOKENS = 10
 # Streams per batched generate call in eval/ablate. The decode caches grow
 # with the batch (the cross-attention K/V alone hold N x rows x dec_d floats
 # per layer). On the 200-report eval benchmark (2-core VM) one 200-stream
@@ -92,6 +91,10 @@ def _ckpt_path(args) -> str:
     return args.checkpoint or os.path.join(args.out, "model.ckpt")
 
 
+def _steps_per_epoch(train_cfg: TrainConfig, n_samples: int) -> int:
+    return max(1, math.ceil(n_samples / train_cfg.batch_size))
+
+
 def _build_data(model_cfg: ModelConfig, train_cfg: TrainConfig):
     vocab = D.default_vocab()
     if len(vocab) > model_cfg.vocab_size:
@@ -112,7 +115,7 @@ def cmd_train(args) -> int:
     out = _prepare_out(args, model_cfg, train_cfg)
     vocab, train_samples, _ = _build_data(model_cfg, train_cfg)
     model = ReportModel(model_cfg)
-    steps_per_epoch = max(1, math.ceil(len(train_samples) / train_cfg.batch_size))
+    steps_per_epoch = _steps_per_epoch(train_cfg, len(train_samples))
     # one run, so the lr schedule spans every epoch; epochs are history slices
     state, hist = TR.run_training(model, train_samples, vocab, train_cfg,
                                   n_steps=train_cfg.epochs * steps_per_epoch,
@@ -213,6 +216,7 @@ def cmd_ablate(args) -> int:
     base_model_cfg, train_cfg = _resolve_configs(args)
     out = _prepare_out(args, base_model_cfg, train_cfg)
     vocab, train_samples, eval_samples = _build_data(base_model_cfg, train_cfg)
+    steps = train_cfg.epochs * _steps_per_epoch(train_cfg, len(train_samples))
     rows = []
     for label, kw, ab, ad, ca in ABLATION_GRID:
         d = config_to_dict(base_model_cfg, train_cfg)
@@ -220,7 +224,6 @@ def cmd_ablate(args) -> int:
                  use_alignment=ca)
         model_cfg, _ = config_from_dict(d)
         model = ReportModel(model_cfg)
-        steps = train_cfg.epochs * max(1, math.ceil(len(train_samples) / train_cfg.batch_size))
         TR.run_training(model, train_samples, vocab, train_cfg, n_steps=steps,
                         max_len=args.max_len)
         hyps, refs = _decode_corpus(model, eval_samples, vocab, args.max_len)

@@ -2,14 +2,13 @@
 
 Layer order: RMS pre-norm -> causal grouped-query self-attention (rotary
 positions on Q/K) -> residual -> RMS pre-norm -> cross-attention over the
-fused memory -> residual -> RMS pre-norm -> SwiGLU -> residual. During
-training the cross-attention memory is the fused feature rows followed by the
-teacher-forced report embeddings; the report segment is causally masked so
-logits at position t never see tokens past t. At inference the report segment
-grows with the embeddings of already-consumed tokens, keeping the memory
-distribution identical to training, and decoding runs N streams in lockstep
-with a per-layer KV cache that also holds the cross-attention projections of
-the memory.
+fused memory -> residual -> RMS pre-norm -> SwiGLU -> residual. The
+cross-attention memory is the projected fused rows followed by the decoder's
+own input-token embeddings, with the report segment causally masked
+(``memory_mask``) so logits at position t never see tokens past t. Training
+builds it in one pass; cached decoding runs N streams in lockstep and appends
+the fused rows and the first token at step 0, then one token row per step, to
+a per-layer KV cache that also holds the cross-attention projections.
 """
 
 from __future__ import annotations
@@ -94,10 +93,9 @@ class KVCache:
 
     Self-attention: ``k``/``v`` hold (N, n_kv, t, head_dim) per layer, and t
     grows by exactly one per decode step. Cross-attention: ``mem_k``/``mem_v``
-    hold the (N, heads, rows, head_dim) projections of the memory rows seen
-    so far, so each memory row is projected once; between steps the memory
-    may only grow by appending rows. N is set by the first append. Existing
-    entries are never mutated.
+    hold the (N, heads, rows, head_dim) projections of the memory rows
+    appended so far, so each memory row is projected once. N is set by the
+    first append. Existing entries are never mutated.
 
     Each of these is a view of a buffer that is filled in place. The first
     append sizes it for a decode of ``max_len`` steps, one more position (or
@@ -114,9 +112,6 @@ class KVCache:
 
     def length(self, layer: int = 0) -> int:
         return 0 if self.k[layer] is None else self.k[layer].shape[2]
-
-    def memory_length(self, layer: int = 0) -> int:
-        return 0 if self.mem_k[layer] is None else self.mem_k[layer].shape[2]
 
     def append(self, layer: int, k_new: np.ndarray, v_new: np.ndarray) -> None:
         if k_new.ndim != 4 or k_new.shape[1:] != (self.n_kv, 1, self.head_dim):
@@ -189,13 +184,14 @@ def cross_attention(
     params: dict,
     cfg: ModelConfig,
     layer: int,
-    mem_mask: Optional[np.ndarray] = None,
+    mem_mask: np.ndarray,
     cache: Optional[KVCache] = None,
 ) -> Tensor:
     """Standard multi-head attention of decoder states over the memory rows.
 
-    ``mem_mask``: boolean, True = may attend, broadcastable to (N, Tq, S_m).
-    With a cache, only memory rows it has not seen yet are projected.
+    ``mem_mask``: boolean (N, Tq, S_m), True = may attend. With a cache,
+    ``memory`` holds only the rows to append; the queries attend over every
+    row appended so far.
     """
     pre = f"dec.layer{layer}.ca"
 
@@ -203,22 +199,11 @@ def cross_attention(
         return nn.split_heads(T.matmul(rows, w), cfg.n_q)
 
     q = heads(x, params[f"{pre}.w_q"])
-    if cache is None:
-        k, v = heads(memory, params[f"{pre}.w_k"]), heads(memory, params[f"{pre}.w_v"])
-    else:
-        seen = cache.memory_length(layer)
-        if memory.shape[1] > seen:
-            new = memory[:, seen:]
-            cache.extend_memory(layer, heads(new, params[f"{pre}.w_k"]).data,
-                                heads(new, params[f"{pre}.w_v"]).data)
+    k, v = heads(memory, params[f"{pre}.w_k"]), heads(memory, params[f"{pre}.w_v"])
+    if cache is not None:
+        cache.extend_memory(layer, k.data, v.data)
         k, v = Tensor(cache.mem_k[layer]), Tensor(cache.mem_v[layer])
-    km = None
-    if mem_mask is not None:
-        km = np.asarray(mem_mask, dtype=bool)
-        while km.ndim < 3:
-            km = km[None]
-        km = km[:, None, :, :]  # head axis
-    out, _ = nn.attention(q, k, v, cfg.attn_norm, km)
+    out, _ = nn.attention(q, k, v, cfg.attn_norm, mem_mask[:, None])  # head axis
     return T.matmul(nn.merge_heads(out), params[f"{pre}.w_o"])
 
 
@@ -235,21 +220,31 @@ def project_memory(f: Tensor, params: dict) -> Tensor:
     return nn.linear(f, params["dec.mem.w"], params["dec.mem.b"])
 
 
+def memory_mask(f_row_mask: np.ndarray, start: int, t: int) -> np.ndarray:
+    """(N, t, S_F+start+t) cross-attention mask for queries at positions
+    start .. start+t-1: the valid fused rows, then the report rows up to and
+    including the query's own position."""
+    n, s_f = f_row_mask.shape
+    causal = np.tri(t, start + t, k=start, dtype=bool)
+    return np.concatenate([np.broadcast_to(f_row_mask[:, None, :], (n, t, s_f)),
+                           np.broadcast_to(causal, (n, t, start + t))], axis=2)
+
+
 def decoder_layer(
     x: Tensor,
     memory: Tensor,
+    mem_mask: np.ndarray,
     params: dict,
     cfg: ModelConfig,
     layer: int,
     cache: Optional[KVCache] = None,
     start_pos: int = 0,
-    mem_mask: Optional[np.ndarray] = None,
 ) -> Tensor:
     pre = f"dec.layer{layer}"
     h = T.rms_norm(x, params[f"{pre}.rms1.g"])
     x = x + gqa_attention(h, params, cfg, layer, cache=cache, start_pos=start_pos)
     h = T.rms_norm(x, params[f"{pre}.rms2.g"])
-    x = x + cross_attention(h, memory, params, cfg, layer, mem_mask=mem_mask, cache=cache)
+    x = x + cross_attention(h, memory, params, cfg, layer, mem_mask, cache=cache)
     h = T.rms_norm(x, params[f"{pre}.rms3.g"])
     x = x + swiglu_ffn(h, params[f"{pre}.ffn.w1"], params[f"{pre}.ffn.w2"], params[f"{pre}.ffn.w3"])
     return x
@@ -257,19 +252,22 @@ def decoder_layer(
 
 def decoder_forward(
     report_ids_in: np.ndarray,
-    memory: Tensor,
+    f: Tensor,
+    f_row_mask: np.ndarray,
     params: dict,
     cfg: ModelConfig,
-    mem_mask: Optional[np.ndarray] = None,
 ) -> Tensor:
-    """Teacher-forced pass: (N, T) input ids -> (N, T, vocab) next-token logits."""
+    """Teacher-forced pass: (N, T) input ids over the (N, S_F, P) fused rows
+    and their (N, S_F) mask -> (N, T, vocab) next-token logits."""
     ids = np.asarray(report_ids_in)
     t = ids.shape[1]
     if t < 1 or t > cfg.max_report_len + 1:
         raise ConfigError(f"sequence length {t} exceeds configured maximum {cfg.max_report_len + 1}")
     x = T.embedding(params["dec.embed"], ids)
+    memory = T.concat([project_memory(f, params), x], axis=-2)
+    mem_mask = memory_mask(f_row_mask, 0, t)
     for l in range(cfg.dec_layers):
-        x = decoder_layer(x, memory, params, cfg, l, mem_mask=mem_mask)
+        x = decoder_layer(x, memory, mem_mask, params, cfg, l)
     x = T.rms_norm(x, params["dec.final_rms.g"])
     return T.matmul(x, params["dec.head.w"])
 
@@ -277,18 +275,21 @@ def decoder_forward(
 def decode_step(
     token_ids: np.ndarray,
     pos: int,
-    memory: Tensor,
+    f: Tensor,
+    f_row_mask: np.ndarray,
     params: dict,
     cfg: ModelConfig,
     cache: KVCache,
-    mem_mask: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """One cached autoregressive step for N streams: (N,) ids, with
-    ``memory`` stacking the streams on its first axis, -> (N, vocab) logits."""
+    """One cached autoregressive step for N streams: (N,) ids at position
+    ``pos`` -> (N, vocab) logits. Step 0 appends the projected fused rows and
+    the token's embedding to the cross-attention memory; later steps append
+    only the token's embedding."""
     x = T.embedding(params["dec.embed"], np.asarray(token_ids)[:, None])
+    rows = x if pos > 0 else T.concat([project_memory(f, params), x], axis=-2)
+    mem_mask = memory_mask(f_row_mask, pos, 1)
     for l in range(cfg.dec_layers):
-        x = decoder_layer(x, memory, params, cfg, l, cache=cache, start_pos=pos,
-                          mem_mask=mem_mask)
+        x = decoder_layer(x, rows, mem_mask, params, cfg, l, cache=cache, start_pos=pos)
     x = T.rms_norm(x, params["dec.final_rms.g"])
     return T.matmul(x, params["dec.head.w"]).data[:, 0]
 

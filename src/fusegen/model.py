@@ -98,21 +98,6 @@ class ReportModel:
         f = parts[0] if len(parts) == 1 else T.concat(parts, axis=-2)
         return f, np.concatenate([seq_valid] * len(parts), axis=1)
 
-    def _training_memory(self, f: Tensor, f_row_mask: np.ndarray,
-                         rep_in: np.ndarray, rep_in_valid: np.ndarray):
-        """Fused rows plus teacher-forced report embeddings, with a mask that
-        keeps the report segment causal."""
-        mem_f = dec_mod.project_memory(f, self.params)
-        e_r = T.embedding(self.params["dec.embed"], rep_in)
-        memory = T.concat([mem_f, e_r], axis=-2)
-        n, t = rep_in.shape
-        s_f = f.shape[1]
-        mask = np.zeros((n, t, s_f + t), dtype=bool)
-        mask[:, :, :s_f] = f_row_mask[:, None, :]
-        causal = ~np.triu(np.ones((t, t), dtype=bool), k=1)
-        mask[:, :, s_f:] = causal[None] & rep_in_valid[:, None, :]
-        return memory, mask
-
     def losses(self, batch: Batch, lambda_align: float) -> LossReport:
         cfg = self.cfg
         f, f_row_mask = self.fuse(batch.images, batch.kw_ids, batch.kw_mask)
@@ -125,11 +110,7 @@ class ReportModel:
             tau = aln_mod.temperature(self.params)
             l_align = aln_mod.info_nce(f_emb, r_emb, tau)
 
-        rep_in_valid = np.concatenate(
-            [np.ones((len(batch), 1), dtype=bool), batch.rep_mask[:, :-1]], axis=1)
-        memory, mem_mask = self._training_memory(f, f_row_mask, batch.rep_in, rep_in_valid)
-        logits = dec_mod.decoder_forward(batch.rep_in, memory, self.params, cfg,
-                                         mem_mask=mem_mask)
+        logits = dec_mod.decoder_forward(batch.rep_in, f, f_row_mask, self.params, cfg)
         l_ce, l_ce_tok = dec_mod.cross_entropy(logits, batch.rep_tgt, batch.rep_mask)
 
         total = l_ce + l_align * lambda_align
@@ -168,25 +149,11 @@ class ReportModel:
         tokens: List[List[int]] = [[] for _ in range(n)]
         with T.no_grad():
             f, f_row_mask = self.fuse(image, kw_ids, kw_mask)
-            embed = self.params["dec.embed"].data
-            # the memory grows with the embeddings of already-consumed tokens,
-            # mirroring the causally masked report segment seen in training;
-            # its rows and mask are allocated once and filled step by step
             cache = dec_mod.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, max_len)
-            mem_f = dec_mod.project_memory(f, self.params).data
-            s_f = mem_f.shape[1]
-            memory = np.empty((n, s_f + max_len, cfg.dec_d), dtype=embed.dtype)
-            memory[:, :s_f] = mem_f
-            mem_mask = np.ones((n, 1, s_f + max_len), dtype=bool)
-            mem_mask[:, 0, :s_f] = f_row_mask
             cur = np.full(n, bos_id)
             live = np.ones(n, dtype=bool)
             for pos in range(max_len):
-                rows = s_f + pos + 1
-                memory[:, rows - 1] = embed[cur]
-                logits = dec_mod.decode_step(cur, pos, Tensor(memory[:, :rows]),
-                                             self.params, cfg, cache,
-                                             mem_mask=mem_mask[:, :, :rows])
+                logits = dec_mod.decode_step(cur, pos, f, f_row_mask, self.params, cfg, cache)
                 if mode == "greedy":
                     cur = logits.argmax(axis=-1)
                 else:

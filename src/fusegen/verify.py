@@ -24,6 +24,10 @@ from .model import ReportModel
 from .tensor import Tensor
 
 
+# relative-error bounds of the module checks and the float64 end-to-end check
+MODULE_THRESHOLD = 1e-5
+END_TO_END_THRESHOLD = 1e-4
+
 # float32 analytic grads against float64 central differences. Summing in
 # float32 leaves a gradient of ~1e-4 off by up to ~4e-7, so the threshold
 # sits at 1e-2: over seeds 0-31 in both attention modes the worst error was
@@ -171,21 +175,19 @@ def check_end_to_end(mode: str, seed: int = 0, lambda_align: float = 0.5,
 
 
 def run_all_checks(mode: str = "softmax", seed: int = 0,
-                   module_threshold: float = 1e-5,
-                   end_to_end_threshold: float = 1e-4,
                    corrupt: bool = False) -> List[CheckResult]:
     rng = np.random.default_rng(seed)
     results = [
-        CheckResult("mha", check_mha(mode, rng), module_threshold),
-        CheckResult("abstractor (proj+cross)", check_abstractor(mode, rng), module_threshold),
-        CheckResult("adaptor (gate+decoupled)", check_adaptor(mode, rng), module_threshold),
-        CheckResult("info_nce", check_info_nce(rng), module_threshold),
-        CheckResult("swiglu_ffn", check_swiglu(rng), module_threshold),
-        CheckResult("rms_norm", check_rms_norm(rng), module_threshold),
-        CheckResult("cross_entropy", check_cross_entropy(rng), module_threshold),
+        CheckResult("mha", check_mha(mode, rng), MODULE_THRESHOLD),
+        CheckResult("abstractor (proj+cross)", check_abstractor(mode, rng), MODULE_THRESHOLD),
+        CheckResult("adaptor (gate+decoupled)", check_adaptor(mode, rng), MODULE_THRESHOLD),
+        CheckResult("info_nce", check_info_nce(rng), MODULE_THRESHOLD),
+        CheckResult("swiglu_ffn", check_swiglu(rng), MODULE_THRESHOLD),
+        CheckResult("rms_norm", check_rms_norm(rng), MODULE_THRESHOLD),
+        CheckResult("cross_entropy", check_cross_entropy(rng), MODULE_THRESHOLD),
         CheckResult("end-to-end composite loss",
                     check_end_to_end(mode, seed, corrupt=corrupt),
-                    end_to_end_threshold),
+                    END_TO_END_THRESHOLD),
         CheckResult("end-to-end float32 grads",
                     check_end_to_end(mode, seed, corrupt=corrupt, float32=True),
                     FLOAT32_END_TO_END_THRESHOLD),

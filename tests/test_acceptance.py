@@ -85,15 +85,21 @@ def test_criterion_1_gradient_integrity(capsys):
     t0 = time.monotonic()
     cfg = toy_config()
     n_params = ReportModel(cfg).n_parameters()
-    results = run_all_checks("softmax", seed=0, module_threshold=1e-5,
-                             end_to_end_threshold=1e-4)
+    results = run_all_checks("softmax", seed=0)
     elapsed = time.monotonic() - t0
-    worst = max(r.max_rel_err for r in results)
-    ok = (all(r.passed for r in results) and n_params < 50_000
+    # seven module checks, then float64 and float32 end-to-end, each group
+    # reported against its own bound
+    groups = [("module", results[:7], 1e-5), ("end-to-end", results[7:8], 1e-4),
+              ("float32 end-to-end", results[8:], 1e-2)]
+    bounds_ok = len(results) == 9 and all(
+        r.threshold == bound for _, rs, bound in groups for r in rs)
+    ok = (bounds_ok and all(r.passed for r in results) and n_params < 50_000
           and elapsed < 300.0)
+    worst = ", ".join(f"{label} {max(r.max_rel_err for r in rs):.2e} < {bound:.0e}"
+                      for label, rs, bound in groups)
     with capsys.disabled():
-        assert _verdict(1, "finite-difference checks, module < 1e-5, end-to-end < 1e-4",
-                        ok, f"{n_params} params, worst {worst:.2e}, {elapsed:.0f}s")
+        assert _verdict(1, "finite-difference checks, each group under its own bound",
+                        ok, f"{n_params} params, worst {worst}, {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------
@@ -162,13 +168,14 @@ def test_criterion_3_decoder_equivalences(capsys):
     # (b) cached decoding equals the full forward pass
     cfg = toy_config()
     params = dec_mod.init_decoder(cfg, np.random.default_rng(2))
-    mem = dec_mod.project_memory(Tensor(RNG.normal(0, 1, (1, 6, cfg.p))), params)
+    f = Tensor(RNG.normal(0, 1, (1, 6, cfg.p)))
+    f_mask = np.ones((1, 6), dtype=bool)
     ids = RNG.integers(0, cfg.vocab_size, 8)
-    full = dec_mod.decoder_forward(ids[None], mem, params, cfg).data[0]
+    full = dec_mod.decoder_forward(ids[None], f, f_mask, params, cfg).data[0]
     cache = dec_mod.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, len(ids))
     cache_dev = 0.0
     for pos, tok in enumerate(ids):
-        row = dec_mod.decode_step(ids[None, pos], pos, mem, params, cfg, cache)[0]
+        row = dec_mod.decode_step(ids[None, pos], pos, f, f_mask, params, cfg, cache)[0]
         cache_dev = max(cache_dev, float(np.abs(row - full[pos]).max()))
 
     # (c) RoPE: scores depend only on the relative offset
@@ -189,19 +196,15 @@ def test_criterion_3_decoder_equivalences(capsys):
     batch = D.make_batch(D.synth_generate(1, 3, cfg.image_side), vocab,
                          cfg.s_l, max_len=10)
     f, f_row_mask = model.fuse(batch.images, batch.kw_ids, batch.kw_mask)
-    valid = np.concatenate([np.ones((1, 1), dtype=bool),
-                            batch.rep_mask[:, :-1]], axis=1)
-    mem0, mask0 = model._training_memory(f, f_row_mask, batch.rep_in, valid)
-    base = dec_mod.decoder_forward(batch.rep_in, mem0, model.params, cfg,
-                                   mem_mask=mask0).data[0]
+    base = dec_mod.decoder_forward(batch.rep_in, f, f_row_mask, model.params,
+                                   cfg).data[0]
     causal_dev = 0.0
     for t in (1, 4):
         rep = batch.rep_in.copy()
         rep[0, t + 1:] = RNG.integers(5, 25, rep.shape[1] - t - 1)
         f, f_row_mask = model.fuse(batch.images, batch.kw_ids, batch.kw_mask)
-        mem, mask = model._training_memory(f, f_row_mask, rep, valid)
-        out = dec_mod.decoder_forward(rep, mem, model.params, cfg,
-                                      mem_mask=mask).data[0]
+        out = dec_mod.decoder_forward(rep, f, f_row_mask, model.params,
+                                      cfg).data[0]
         causal_dev = max(causal_dev, float(np.abs(out[:t + 1] - base[:t + 1]).max()))
 
     ok = (gqa_dev < 1e-8 and cache_dev < 1e-8 and rope_dev < 1e-8

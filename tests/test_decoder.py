@@ -18,8 +18,8 @@ def _setup(**overrides):
     return cfg, params
 
 
-def _memory(cfg, n=1, rows=6):
-    return Tensor(RNG.normal(0, 1, (n, rows, cfg.dec_d)))
+def _fused(cfg, n=1, rows=6):
+    return Tensor(RNG.normal(0, 1, (n, rows, cfg.p))), np.ones((n, rows), dtype=bool)
 
 
 # ---------------------------------------------------------------------
@@ -174,24 +174,24 @@ def test_cache_grows_one_per_step_and_checks_position():
 
 def test_cached_decoding_matches_full_forward():
     cfg, params = _setup()
-    mem = _memory(cfg)
+    f, f_mask = _fused(cfg)
     ids = RNG.integers(0, cfg.vocab_size, 7)
-    full = DEC.decoder_forward(ids[None], mem, params, cfg).data[0]
+    full = DEC.decoder_forward(ids[None], f, f_mask, params, cfg).data[0]
     cache = DEC.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, len(ids))
     for pos, tok in enumerate(ids):
-        row = DEC.decode_step(ids[None, pos], pos, mem, params, cfg, cache)[0]
+        row = DEC.decode_step(ids[None, pos], pos, f, f_mask, params, cfg, cache)[0]
         np.testing.assert_allclose(row, full[pos], atol=1e-8)
 
 
 def test_batched_decode_step_rows_match_full_forward_per_stream():
     cfg, params = _setup()
     n, t = 3, 6
-    mem = _memory(cfg, n=n)
+    f, f_mask = _fused(cfg, n=n)
     ids = RNG.integers(0, cfg.vocab_size, (n, t))
-    full = DEC.decoder_forward(ids, mem, params, cfg).data
+    full = DEC.decoder_forward(ids, f, f_mask, params, cfg).data
     cache = DEC.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, t)
     for pos in range(t):
-        rows = DEC.decode_step(ids[:, pos], pos, mem, params, cfg, cache)
+        rows = DEC.decode_step(ids[:, pos], pos, f, f_mask, params, cfg, cache)
         assert rows.shape == (n, cfg.vocab_size)
         np.testing.assert_allclose(rows, full[:, pos], atol=1e-8)
     assert cache.k[0].shape == (n, cfg.n_kv, t, cfg.head_dim)
@@ -205,13 +205,16 @@ def test_cross_attention_kv_cache_matches_uncached():
     mask = RNG.uniform(size=(n, 1, 8)) > 0.3
     mask[:, :, 0] = True
     cache = DEC.KVCache(1, cfg.n_kv, cfg.head_dim, 4)
+    seen = 0
     for rows in (5, 5, 6, 8):
         x = Tensor(RNG.normal(0, 1, (n, 1, cfg.dec_d)))
-        m = Tensor(mem[:, :rows])
-        a = DEC.cross_attention(x, m, params, cfg, 0, mem_mask=mask[..., :rows], cache=cache)
-        b = DEC.cross_attention(x, m, params, cfg, 0, mem_mask=mask[..., :rows])
+        a = DEC.cross_attention(x, Tensor(mem[:, seen:rows]), params, cfg, 0,
+                                mem_mask=mask[..., :rows], cache=cache)
+        b = DEC.cross_attention(x, Tensor(mem[:, :rows]), params, cfg, 0,
+                                mem_mask=mask[..., :rows])
         np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12)
-        assert cache.memory_length(0) == rows
+        assert cache.mem_k[0].shape[2] == rows
+        seen = rows
 
 
 def test_cache_fills_its_buffers_in_place():
@@ -256,37 +259,35 @@ def test_cache_rejects_changed_stream_count():
 def test_causality_future_tokens_cannot_leak():
     for mode in ("softmax", "sigmoid"):
         cfg, params = _setup(attn_norm=mode)
-        mem = _memory(cfg)
+        f, f_mask = _fused(cfg)
         ids = RNG.integers(0, cfg.vocab_size, 8)
-        base = DEC.decoder_forward(ids[None], mem, params, cfg).data[0]
+        base = DEC.decoder_forward(ids[None], f, f_mask, params, cfg).data[0]
         for t in (2, 5):
             perturbed = ids.copy()
             perturbed[t + 1:] = RNG.integers(0, cfg.vocab_size, len(ids) - t - 1)
-            out = DEC.decoder_forward(perturbed[None], mem, params, cfg).data[0]
+            out = DEC.decoder_forward(perturbed[None], f, f_mask, params, cfg).data[0]
             np.testing.assert_allclose(out[: t + 1], base[: t + 1], atol=1e-12, err_msg=mode)
 
 
 def test_cross_attention_memory_mask():
     for mode in ("softmax", "sigmoid"):
         cfg, params = _setup(attn_norm=mode)
-        mem_rows = 5
-        mem = _memory(cfg, rows=mem_rows)
-        mask = np.ones((1, 1, mem_rows), dtype=bool)
-        mask[0, 0, 3:] = False
+        f, mask = _fused(cfg, rows=5)
+        mask[0, 3:] = False
         ids = RNG.integers(0, cfg.vocab_size, 4)
-        a = DEC.decoder_forward(ids[None], mem, params, cfg, mem_mask=mask).data
-        mem2 = Tensor(mem.data.copy())
-        mem2.data[0, 3:] += 7.0       # masked rows only
-        b = DEC.decoder_forward(ids[None], mem2, params, cfg, mem_mask=mask).data
+        a = DEC.decoder_forward(ids[None], f, mask, params, cfg).data
+        f2 = Tensor(f.data.copy())
+        f2.data[0, 3:] += 7.0       # masked rows only
+        b = DEC.decoder_forward(ids[None], f2, mask, params, cfg).data
         np.testing.assert_allclose(a, b, atol=1e-12, err_msg=mode)
 
 
 def test_decoder_rejects_overlong_sequence():
     cfg, params = _setup()
-    mem = _memory(cfg)
+    f, f_mask = _fused(cfg)
     with pytest.raises(ConfigError):
         DEC.decoder_forward(np.zeros((1, cfg.max_report_len + 2), dtype=int),
-                            mem, params, cfg)
+                            f, f_mask, params, cfg)
 
 
 # ---------------------------------------------------------------------
@@ -341,9 +342,9 @@ def test_cross_entropy_rejects_bad_targets():
 
 def test_decoder_forward_grad_reaches_all_params():
     cfg, params = _setup()
-    mem = DEC.project_memory(Tensor(RNG.normal(0, 1, (1, 6, cfg.p))), params)
+    f, f_mask = _fused(cfg)
     ids = RNG.integers(0, cfg.vocab_size, (1, 5))
-    logits = DEC.decoder_forward(ids, mem, params, cfg)
+    logits = DEC.decoder_forward(ids, f, f_mask, params, cfg)
     total, _ = DEC.cross_entropy(logits, RNG.integers(0, cfg.vocab_size, (1, 5)))
     total.backward()
     for name, p in params.items():

@@ -106,38 +106,35 @@ def test_training_memory_report_segment_is_causal():
     model = ReportModel(cfg)
     vocab, _, batch = _batch(cfg, n=1)
     f, f_row_mask = model.fuse(batch.images, batch.kw_ids, batch.kw_mask)
-    valid = np.concatenate([np.ones((1, 1), dtype=bool), batch.rep_mask[:, :-1]], axis=1)
-
-    mem, mask = model._training_memory(f, f_row_mask, batch.rep_in, valid)
-    base = DEC.decoder_forward(batch.rep_in, mem, model.params, cfg,
-                               mem_mask=mask).data[0]
+    base = DEC.decoder_forward(batch.rep_in, f, f_row_mask, model.params, cfg).data[0]
 
     t = 3
     rep2 = batch.rep_in.copy()
     rep2[0, t + 1:] = RNG.integers(5, len(vocab), rep2.shape[1] - t - 1)
     f2, f_row_mask2 = model.fuse(batch.images, batch.kw_ids, batch.kw_mask)
-    mem2, mask2 = model._training_memory(f2, f_row_mask2, rep2, valid)
-    out = DEC.decoder_forward(rep2, mem2, model.params, cfg, mem_mask=mask2).data[0]
+    out = DEC.decoder_forward(rep2, f2, f_row_mask2, model.params, cfg).data[0]
     np.testing.assert_allclose(out[: t + 1], base[: t + 1], atol=1e-12)
+
+
+def test_losses_look_up_decoder_embeddings_once():
+    """The decoder input and its cross-attention memory share one lookup."""
+    cfg = toy_config()
+    model = ReportModel(cfg)
+    _, _, batch = _batch(cfg)
+    table = model.params["dec.embed"]
+    lookups = [node for node in T._toposort(model.losses(batch, 0.5).total)
+               if node._children == (table,)
+               and node._backward.__qualname__.startswith("embedding.")]
+    assert len(lookups) == 1
 
 
 def _greedy_uncached(model, image, kw_ids, kw_mask, bos_id, eos_id, max_len):
     """Reference decode without a KV cache: every step re-runs the
-    teacher-forced decoder over the whole prefix, with the memory holding the
-    fused rows plus the causally masked prefix embeddings."""
+    teacher-forced decoder over the whole prefix."""
     f, f_row_mask = model.fuse(image[None], kw_ids[None], kw_mask[None])
-    mem_f = Tensor(DEC.project_memory(f, model.params).data)
-    embed = model.params["dec.embed"]
-    s_f = mem_f.shape[1]
     seq, tokens = [bos_id], []
     for _ in range(max_len):
-        rep = np.array([seq])
-        t = rep.shape[1]
-        memory = T.concat([mem_f, Tensor(embed.data[rep])], axis=-2)
-        mask = np.zeros((1, t, s_f + t), dtype=bool)
-        mask[:, :, :s_f] = f_row_mask[:, None, :]
-        mask[:, :, s_f:] = ~np.triu(np.ones((t, t), dtype=bool), k=1)
-        logits = DEC.decoder_forward(rep, memory, model.params, model.cfg, mem_mask=mask)
+        logits = DEC.decoder_forward(np.array([seq]), f, f_row_mask, model.params, model.cfg)
         cur = int(np.argmax(logits.data[0, -1]))
         if cur == eos_id:
             break
