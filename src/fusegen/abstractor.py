@@ -60,13 +60,6 @@ def bidirectional_cross_attention(
     return (v2l, l2v), (w_v2l, w_l2v)
 
 
-def aggregate(v2l: Tensor, l2v: Tensor) -> Tensor:
-    """Row-wise concatenation, visual-derived rows first."""
-    if v2l.shape[-1] != l2v.shape[-1]:
-        raise T.ShapeError(f"widths differ: {v2l.shape} vs {l2v.shape}")
-    return T.concat([v2l, l2v], axis=-2)
-
-
 def abstractor_forward(
     v_e: Tensor,
     l_e: Tensor,
@@ -77,4 +70,4 @@ def abstractor_forward(
     """F1: (N, S_V + S_L, P), visual-derived rows first."""
     v_p, l_p = project_modalities(v_e, l_e, params)
     (v2l, l2v), _ = bidirectional_cross_attention(v_p, l_p, cfg.attn_norm, l_mask)
-    return aggregate(v2l, l2v)
+    return T.concat([v2l, l2v], axis=-2)

@@ -9,7 +9,6 @@ batch (negatives over reports only, as printed).
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -46,35 +45,25 @@ def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
     return x * T.mask_fill(inv, degenerate[:, None], 0.0)
 
 
-def _masked_mean(x: Tensor, mask: Optional[np.ndarray]) -> Tensor:
+def _masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
     """Mean of (N, S, D) over S, counting only rows where ``mask`` is True."""
-    if mask is None:
-        return x.mean(axis=-2)
     m = np.asarray(mask, dtype=x.data.dtype)
     return (x * m[:, :, None]).sum(axis=-2) * (1.0 / m.sum(axis=1))[:, None]
 
 
-def pool_fusion(
-    f: Tensor,
-    params: dict,
-    row_mask: Optional[np.ndarray] = None,
-) -> Tensor:
+def pool_fusion(f: Tensor, params: dict, row_mask: np.ndarray) -> Tensor:
     """Mean over valid rows of the fused (N, S, P) sequence, then project:
     (N, D_align) unit rows."""
     proj = nn.linear(_masked_mean(f, row_mask), params["aln.pool.w"], params["aln.pool.b"])
     return l2_normalize(proj)
 
 
-def embed_report(report_ids: np.ndarray, params: dict,
-                 mask: Optional[np.ndarray] = None) -> Tensor:
+def embed_report(report_ids: np.ndarray, params: dict, mask: np.ndarray) -> Tensor:
     """(N, D_align) unit rows for (N, T) report ids: token embedding
-    mean-pool plus projection."""
-    ids = np.asarray(report_ids)
-    if ids.shape[1] == 0:
-        raise ValueError("empty report")
-    if mask is not None and not np.asarray(mask).any(axis=1).all():
+    mean-pool over the ``mask``ed tokens, plus projection."""
+    if not np.asarray(mask).any(axis=1).all():
         raise ValueError("a report has no unmasked tokens")
-    x = T.embedding(params["aln.rep.embed"], ids)
+    x = T.embedding(params["aln.rep.embed"], report_ids)
     proj = nn.linear(_masked_mean(x, mask), params["aln.rep.w"], params["aln.rep.b"])
     return l2_normalize(proj)
 

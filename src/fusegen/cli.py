@@ -194,17 +194,18 @@ def cmd_generate(args) -> int:
             print("warning: empty keyword string, using a separator-only sequence",
                   file=sys.stderr)
         kw_ids, kw_mask = D.encode_keyword_string(vocab, keywords, model.cfg.s_l)
+        kw_ids, kw_mask = kw_ids[None], kw_mask[None]
     else:
         kw_ids = kw_mask = None
-    toks = model.generate(sample.image, kw_ids, kw_mask, vocab.bos_id,
-                          vocab.eos_id, args.max_len, mode=args.mode,
-                          temperature=args.temperature, seed=model.cfg.seed)
+    [toks] = model.generate(sample.image[None], kw_ids, kw_mask, vocab.bos_id,
+                            vocab.eos_id, args.max_len, mode=args.mode,
+                            temperature=args.temperature, seed=model.cfg.seed)
     print(vocab.decode(toks))
     return 0
 
 
 def cmd_grad_check(args) -> int:
-    results = run_all_checks(args.attn, seed=args.seed, corrupt=args.corrupt)
+    results = run_all_checks(args.attn, seed=args.seed)
     ok = True
     for r in results:
         print(r.line())
@@ -263,7 +264,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_gc = sub.add_parser("grad-check", help="finite-difference verification")
     p_gc.add_argument("--attn", choices=["softmax", "sigmoid"], default="softmax")
     p_gc.add_argument("--seed", type=int, default=0)
-    p_gc.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p_abl = sub.add_parser("ablate", help="run the component toggle grid")
     _add_config_flags(p_abl)

@@ -10,7 +10,6 @@ learnable.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
@@ -18,7 +17,6 @@ import numpy as np
 
 PAD, BOS, EOS, SEP, UNK = "[PAD]", "[BOS]", "[EOS]", "[SEP]", "<UNK>"
 RESERVED = [PAD, BOS, EOS, SEP, UNK]
-MAX_VOCAB = 5000
 
 # twin pairs: both members of a row render identically
 BLOB_TYPES = [
@@ -38,12 +36,11 @@ _TEMPLATES = [
 
 
 class Vocab:
-    """Frequency-ranked word vocabulary with fixed reserved ids."""
+    """Word vocabulary: the reserved tokens at fixed ids, then ``words`` in
+    order."""
 
     def __init__(self, words: Sequence[str]):
         self.id_to_word: List[str] = list(RESERVED) + [w for w in words if w not in RESERVED]
-        if len(self.id_to_word) > MAX_VOCAB:
-            raise ValueError(f"vocabulary exceeds {MAX_VOCAB} entries")
         self.word_to_id = {w: i for i, w in enumerate(self.id_to_word)}
 
     def __len__(self):
@@ -77,20 +74,6 @@ class Vocab:
         special = {self.pad_id, self.bos_id, self.eos_id}
         return " ".join(self.id_to_word[i] if 0 <= i < len(self.id_to_word) else UNK
                         for i in ids if i not in special)
-
-
-def build_vocab(corpus: Iterable[str]) -> Vocab:
-    """Top words by frequency (ties broken lexicographically), under the cap."""
-    counts = Counter()
-    n_docs = 0
-    for line in corpus:
-        n_docs += 1
-        counts.update(w for w in line.split() if w not in RESERVED)
-    if n_docs == 0:
-        raise ValueError("empty corpus")
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    keep = [w for w, _ in ranked[: MAX_VOCAB - len(RESERVED)]]
-    return Vocab(keep)
 
 
 # ---------------------------------------------------------------------
@@ -145,13 +128,10 @@ def synth_generate(n: int, seed: int, side: int = 16) -> List[SyntheticSample]:
 
 
 def default_vocab() -> Vocab:
-    lines = []
-    for t in _TEMPLATES:
-        for pair in BLOB_TYPES:
-            for m in pair:
-                lines.append(t.format(t=m, r=ROW_WORDS[0], c=COL_WORDS[0]))
-    lines.append(" ".join(ROW_WORDS + COL_WORDS))
-    return build_vocab(lines)
+    """Every word of the task. Checkpoints store ids, so the order is fixed."""
+    return Vocab(["left", "upper", "a", "at", "image", "is", "region", "shows", "the",
+                  "there", "dot", "halo", "line", "patch", "ring", "shade", "spot",
+                  "streak", "lower", "right"])
 
 
 # ---------------------------------------------------------------------

@@ -294,21 +294,17 @@ def decode_step(
     return T.matmul(x, params["dec.head.w"]).data[:, 0]
 
 
-def cross_entropy(logits: Tensor, target_ids: np.ndarray,
-                  mask: Optional[np.ndarray] = None):
+def cross_entropy(logits: Tensor, target_ids: np.ndarray, mask: np.ndarray):
     """Summed next-token negative log-likelihood over unmasked positions.
 
     Returns (total, per_token_mean) as tensors sharing one graph.
     """
     targets = np.asarray(target_ids)
-    n, t, vocab = logits.shape
+    vocab = logits.shape[-1]
     if targets.max() >= vocab or targets.min() < 0:
         raise IndexError(f"target id out of range for vocab {vocab}")
-    if mask is None:
-        mask = np.ones((n, t), dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
     logp = T.log_softmax(logits)
-    ni, ti = np.nonzero(mask)
+    ni, ti = np.nonzero(np.asarray(mask, dtype=bool))
     nll = -logp[ni, ti, targets[ni, ti]]
     total = nll.sum()
     per_token = total * (1.0 / max(1, len(ni)))

@@ -8,7 +8,7 @@ which groups exist at all; a disabled module contributes no parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -128,22 +128,18 @@ class ReportModel:
                  kw_mask: Optional[np.ndarray], bos_id: int, eos_id: int,
                  max_len: int, mode: str = "greedy",
                  temperature: float = 1.0,
-                 seed: int = 0) -> Union[List[int], List[List[int]]]:
+                 seed: int = 0) -> List[List[int]]:
         """Autoregressive decode without the tape, all streams in lockstep.
 
-        A single sample (3-D image, 1-D keyword ids) returns its content ids;
-        a batch (4-D images, 2-D ids) returns one id list per stream. A stream
-        stops at its EOS; the loop stops once every stream has stopped.
+        Takes a batch (4-D images, 2-D keyword ids) and returns the content
+        ids of each stream. A stream stops at its EOS; the loop stops once
+        every stream has stopped.
         """
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
         if mode not in ("greedy", "sample"):
             raise ValueError(f"unknown decode mode {mode!r}")
         cfg = self.cfg
-        single = image.ndim == 3
-        if single:
-            image, kw_ids, kw_mask = (None if a is None else np.asarray(a)[None]
-                                      for a in (image, kw_ids, kw_mask))
         n = image.shape[0]
         rng = np.random.default_rng(seed)
         tokens: List[List[int]] = [[] for _ in range(n)]
@@ -164,7 +160,7 @@ class ReportModel:
                     tokens[i].append(int(cur[i]))
                 if not live.any():
                     break
-        return tokens[0] if single else tokens
+        return tokens
 
     @staticmethod
     def _sample(logits: np.ndarray, temperature: float,

@@ -108,8 +108,6 @@ def test_width_mismatch_raises():
     with pytest.raises(ShapeError):
         A.bidirectional_cross_attention(Tensor(np.zeros((1, 2, 4))),
                                         Tensor(np.zeros((1, 2, 5))))
-    with pytest.raises(ShapeError):
-        A.aggregate(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((1, 2, 5))))
 
 
 @pytest.mark.parametrize("mode", ["softmax", "sigmoid"])

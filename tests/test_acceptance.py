@@ -334,10 +334,11 @@ def _short_train_bleu(seed, use_kw):
     for s in evals:
         if use_kw:
             kw_ids, kw_mask = D.encode_keyword_string(vocab, s.keywords, cfg.s_l)
+            kw_ids, kw_mask = kw_ids[None], kw_mask[None]
         else:
             kw_ids = kw_mask = None
-        hyps.append(model.generate(s.image, kw_ids, kw_mask, vocab.bos_id,
-                                   vocab.eos_id, 12))
+        hyps += model.generate(s.image[None], kw_ids, kw_mask, vocab.bos_id,
+                               vocab.eos_id, 12)
         refs.append(vocab.encode(s.report))
     return M.score_corpus(hyps, refs).bleu[3]
 

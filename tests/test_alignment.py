@@ -87,7 +87,7 @@ def test_embed_report_masked_mean():
 def test_embed_report_rejects_empty():
     params = _params()
     with pytest.raises(ValueError):
-        AL.embed_report(np.zeros((1, 0), dtype=int), params)
+        AL.embed_report(np.zeros((1, 0), dtype=int), params, mask=np.ones((1, 0), dtype=bool))
     with pytest.raises(ValueError):
         AL.embed_report(np.array([[1, 2]]), params,
                         mask=np.array([[False, False]]))

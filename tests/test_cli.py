@@ -13,7 +13,7 @@ from fusegen import training as TR
 from fusegen.config import ModelConfig, TrainConfig, load_config, save_config
 from fusegen.model import ReportModel
 from fusegen.tensor import Tensor
-from fusegen.verify import toy_config
+from fusegen.verify import END_TO_END_THRESHOLD, CheckResult, toy_config
 
 
 def _toy_config_file(tmp_path, **train_overrides):
@@ -196,14 +196,13 @@ def test_grad_check_command_passes(capsys):
         assert "FAIL" not in out, mode
 
 
-def test_grad_check_negative_control_fails(capsys):
-    rc = cli.main(["grad-check", "--corrupt"])
+def test_grad_check_command_exits_1_on_a_failed_check(monkeypatch, capsys):
+    failed = CheckResult("end-to-end composite loss", 1.9, END_TO_END_THRESHOLD)
+    monkeypatch.setattr(cli, "run_all_checks", lambda mode, seed: [failed])
+    rc = cli.main(["grad-check"])
     out = capsys.readouterr().out
     assert rc == 1
-    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert len(failed) == 2
-    assert "end-to-end composite loss" in failed[0]
-    assert "end-to-end float32 grads" in failed[1]
+    assert out.startswith("FAIL  end-to-end composite loss")
 
 
 def test_keyword_dropout_flag_runs(tmp_path, capsys):

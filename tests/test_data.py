@@ -19,17 +19,6 @@ def test_reserved_ids_are_stable():
     assert v.unk_id == 4
 
 
-def test_build_vocab_frequency_then_lexicographic():
-    v = D.build_vocab(["b b a a c", "b z"])
-    words = v.id_to_word[len(D.RESERVED):]
-    assert words == ["b", "a", "c", "z"]
-
-
-def test_build_vocab_rejects_empty():
-    with pytest.raises(ValueError):
-        D.build_vocab([])
-
-
 def test_encode_decode_round_trip():
     v = D.default_vocab()
     ids = v.encode("a spot at lower left")
@@ -40,11 +29,6 @@ def test_encode_decode_round_trip():
 def test_decode_tolerates_out_of_range_ids():
     v = D.default_vocab()
     assert v.decode([len(v) + 3]) == D.UNK
-
-
-def test_vocab_size_cap():
-    with pytest.raises(ValueError):
-        D.Vocab([f"w{i}" for i in range(D.MAX_VOCAB)])
 
 
 # ---------------------------------------------------------------------

@@ -326,7 +326,7 @@ def test_cross_entropy_matches_numpy_oracle():
 def test_cross_entropy_finite_at_large_logit_gap(dtype, gap):
     # exp(-gap) underflows to 0, so log(softmax) would give inf
     logits = Tensor(np.array([[[0.0, gap, 0.0]]], dtype=dtype), requires_grad=True)
-    total, _ = DEC.cross_entropy(logits, np.array([[0]]))
+    total, _ = DEC.cross_entropy(logits, np.array([[0]]), np.ones((1, 1), dtype=bool))
     assert total.data.dtype == dtype
     assert total.item() == pytest.approx(gap, rel=1e-6)
     total.backward()
@@ -337,7 +337,7 @@ def test_cross_entropy_finite_at_large_logit_gap(dtype, gap):
 def test_cross_entropy_rejects_bad_targets():
     logits = Tensor(np.zeros((1, 2, 4)))
     with pytest.raises(IndexError):
-        DEC.cross_entropy(logits, np.array([[0, 4]]))
+        DEC.cross_entropy(logits, np.array([[0, 4]]), np.ones((1, 2), dtype=bool))
 
 
 def test_decoder_forward_grad_reaches_all_params():
@@ -345,7 +345,8 @@ def test_decoder_forward_grad_reaches_all_params():
     f, f_mask = _fused(cfg)
     ids = RNG.integers(0, cfg.vocab_size, (1, 5))
     logits = DEC.decoder_forward(ids, f, f_mask, params, cfg)
-    total, _ = DEC.cross_entropy(logits, RNG.integers(0, cfg.vocab_size, (1, 5)))
+    total, _ = DEC.cross_entropy(logits, RNG.integers(0, cfg.vocab_size, (1, 5)),
+                                 np.ones((1, 5), dtype=bool))
     total.backward()
     for name, p in params.items():
         assert p.grad is not None, name

@@ -149,7 +149,8 @@ def test_generate_greedy_cached_equals_uncached():
     vocab, samples, _ = _batch(cfg)
     s = samples[0]
     kw_ids, kw_mask = D.encode_keyword_string(vocab, s.keywords, cfg.s_l)
-    a = model.generate(s.image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id, max_len=8)
+    [a] = model.generate(s.image[None], kw_ids[None], kw_mask[None], vocab.bos_id,
+                         vocab.eos_id, max_len=8)
     b = _greedy_uncached(model, s.image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id,
                          max_len=8)
     assert a == b
@@ -197,8 +198,9 @@ def test_generate_missing_keyword_mask_means_all_tokens_real(trained_toy):
     assert not all(m.all() for _, m in enc)     # some keyword rows carry padding
     for s, (ids, m) in zip(samples, enc):
         ones = np.ones_like(m)
-        assert (model.generate(s.image, ids, None, vocab.bos_id, vocab.eos_id, 8)
-                == model.generate(s.image, ids, ones, vocab.bos_id, vocab.eos_id, 8))
+        assert (model.generate(s.image[None], ids[None], None, vocab.bos_id, vocab.eos_id, 8)
+                == model.generate(s.image[None], ids[None], ones[None], vocab.bos_id,
+                                  vocab.eos_id, 8))
     images = np.stack([s.image for s in samples[:4]])
     kw_ids = np.stack([ids for ids, _ in enc])
     assert (model.generate(images, kw_ids, None, vocab.bos_id, vocab.eos_id, 8)
@@ -217,7 +219,8 @@ def test_decode_corpus_matches_per_sample_loop_with_keyword_dropout(
     expect = []
     for s in samples:
         ids, m = D.encode_keyword_string(vocab, s.keywords, model.cfg.s_l, drop_rng, 0.5)
-        expect.append(model.generate(s.image, ids, m, vocab.bos_id, vocab.eos_id, 10))
+        expect += model.generate(s.image[None], ids[None], m[None], vocab.bos_id,
+                                 vocab.eos_id, 10)
     assert hyps == expect
     assert refs == [vocab.encode(s.report) for s in samples]
 
@@ -259,13 +262,14 @@ def test_generate_sampling_is_seeded():
     vocab, samples, _ = _batch(cfg)
     s = samples[0]
     kw_ids, kw_mask = D.encode_keyword_string(vocab, s.keywords, cfg.s_l)
-    a = model.generate(s.image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id,
+    image, kw_ids, kw_mask = s.image[None], kw_ids[None], kw_mask[None]
+    a = model.generate(image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id,
                        max_len=8, mode="sample", temperature=1.5, seed=4)
-    b = model.generate(s.image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id,
+    b = model.generate(image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id,
                        max_len=8, mode="sample", temperature=1.5, seed=4)
     assert a == b
     with pytest.raises(ValueError):
-        model.generate(s.image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id,
+        model.generate(image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id,
                        max_len=8, mode="beam")
 
 
@@ -275,10 +279,11 @@ def test_generate_respects_max_len():
     vocab, samples, _ = _batch(cfg)
     s = samples[0]
     kw_ids, kw_mask = D.encode_keyword_string(vocab, s.keywords, cfg.s_l)
-    out = model.generate(s.image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id, 3)
+    image, kw_ids, kw_mask = s.image[None], kw_ids[None], kw_mask[None]
+    [out] = model.generate(image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id, 3)
     assert len(out) <= 3
     with pytest.raises(ValueError):
-        model.generate(s.image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id, 0)
+        model.generate(image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id, 0)
 
 
 def test_model_init_is_seed_deterministic():
