@@ -24,7 +24,7 @@ def _inv_sigmoid(y: float) -> float:
     return math.log(y / (1.0 - y))
 
 
-def init_adaptor(cfg: ModelConfig, rng: np.random.Generator) -> dict:
+def init_adaptor(cfg: ModelConfig, rng: Optional[np.random.Generator]) -> dict:
     # gate logits start biased low on the visual segment, high on the language
     # segment; the constraint is a soft prior, not a hard clamp
     raw = np.full(cfg.s_v + cfg.s_l, _inv_sigmoid(0.1))

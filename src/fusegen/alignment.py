@@ -9,6 +9,7 @@ batch (negatives over reports only, as printed).
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .tensor import Tensor
 TEMPERATURE_FLOOR = 1e-3
 
 
-def init_alignment(cfg: ModelConfig, rng: np.random.Generator) -> dict:
+def init_alignment(cfg: ModelConfig, rng: Optional[np.random.Generator]) -> dict:
     return {
         "aln.pool.w": nn.init_weight(rng, cfg.p, cfg.d_align),
         "aln.pool.b": nn.init_bias(cfg.d_align),

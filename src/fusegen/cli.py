@@ -95,15 +95,16 @@ def _steps_per_epoch(train_cfg: TrainConfig, n_samples: int) -> int:
     return max(1, math.ceil(n_samples / train_cfg.batch_size))
 
 
-def _build_data(model_cfg: ModelConfig, train_cfg: TrainConfig):
+def _build_data(model_cfg: ModelConfig, train_cfg: TrainConfig, *splits: str):
+    """The task vocabulary, then the samples of each named split ("train" or
+    "eval"); only the splits asked for are synthesized."""
     vocab = D.default_vocab()
     if len(vocab) > model_cfg.vocab_size:
         raise ConfigError(f"vocab_size={model_cfg.vocab_size} below task vocabulary {len(vocab)}")
-    train = D.synth_generate(train_cfg.n_train, seed=train_cfg.seed,
-                             side=model_cfg.image_side)
-    evals = D.synth_generate(train_cfg.n_eval, seed=train_cfg.seed + 10_000,
-                             side=model_cfg.image_side)
-    return vocab, train, evals
+    sizes = {"train": (train_cfg.n_train, train_cfg.seed),
+             "eval": (train_cfg.n_eval, train_cfg.seed + 10_000)}
+    return (vocab, *(D.synth_generate(*sizes[split], side=model_cfg.image_side)
+                     for split in splits))
 
 
 # ---------------------------------------------------------------------
@@ -113,7 +114,7 @@ def _build_data(model_cfg: ModelConfig, train_cfg: TrainConfig):
 def cmd_train(args) -> int:
     model_cfg, train_cfg = _resolve_configs(args)
     out = _prepare_out(args, model_cfg, train_cfg)
-    vocab, train_samples, _ = _build_data(model_cfg, train_cfg)
+    vocab, train_samples = _build_data(model_cfg, train_cfg, "train")
     model = ReportModel(model_cfg)
     steps_per_epoch = _steps_per_epoch(train_cfg, len(train_samples))
     # one run, so the lr schedule spans every epoch; epochs are history slices
@@ -166,8 +167,7 @@ def cmd_eval(args) -> int:
         print(f"error: checkpoint {path} not found", file=sys.stderr)
         return 1
     model, _, train_cfg, _ = TR.load_checkpoint(path)
-    vocab, train_samples, eval_samples = _build_data(model.cfg, train_cfg)
-    pool = train_samples if args.split == "train" else eval_samples
+    vocab, pool = _build_data(model.cfg, train_cfg, args.split)
     hyps, refs = _decode_corpus(model, pool, vocab, args.max_len,
                                 args.keyword_dropout, drop_seed=model.cfg.seed)
     report = M.score_corpus(hyps, refs)
@@ -216,7 +216,8 @@ def cmd_grad_check(args) -> int:
 def cmd_ablate(args) -> int:
     base_model_cfg, train_cfg = _resolve_configs(args)
     out = _prepare_out(args, base_model_cfg, train_cfg)
-    vocab, train_samples, eval_samples = _build_data(base_model_cfg, train_cfg)
+    vocab, train_samples, eval_samples = _build_data(base_model_cfg, train_cfg,
+                                                     "train", "eval")
     steps = train_cfg.epochs * _steps_per_epoch(train_cfg, len(train_samples))
     rows = []
     for label, kw, ab, ad, ca in ABLATION_GRID:

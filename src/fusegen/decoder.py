@@ -24,7 +24,7 @@ from .config import ConfigError, ModelConfig
 from .tensor import Tensor
 
 
-def init_decoder(cfg: ModelConfig, rng: np.random.Generator) -> dict:
+def init_decoder(cfg: ModelConfig, rng: Optional[np.random.Generator]) -> dict:
     d, hd = cfg.dec_d, cfg.head_dim
     params = {
         "dec.embed": nn.init_embedding(rng, cfg.vocab_size, d),

@@ -34,9 +34,11 @@ class LossReport:
 
 
 class ReportModel:
-    def __init__(self, cfg: ModelConfig):
+    def __init__(self, cfg: ModelConfig, *, _random_init: bool = True):
+        # _random_init=False leaves every parameter zero: the layout that
+        # load_checkpoint fills, without drawing an init it would overwrite
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.seed) if _random_init else None
         params: Dict[str, Tensor] = {}
         params.update(encoders.init_image_encoder(cfg, rng))
         if cfg.use_keywords:

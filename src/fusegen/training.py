@@ -9,7 +9,6 @@ of (seed, step) so an interrupted run resumes on the same curve.
 from __future__ import annotations
 
 import json
-import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -174,85 +173,90 @@ def save_checkpoint(model: ReportModel, state: AdamState,
         fh.write(body + struct.pack("<I", crc))
 
 
-def _read(buf: memoryview, off: int, n: int):
-    if off + n > len(buf):
+def _end(buf: memoryview, end: int) -> int:
+    if end > len(buf):
         raise CheckpointError("truncated checkpoint file")
-    return bytes(buf[off:off + n]), off + n
+    return end
+
+
+def _unpack(fmt: str, buf: memoryview, off: int):
+    """(values, next offset) of the struct fields ``fmt`` at ``off``."""
+    end = _end(buf, off + struct.calcsize(fmt))
+    return struct.unpack_from(fmt, buf, off), end
 
 
 def load_checkpoint(path: str):
-    """Returns (model, adam_state, train_cfg, extra); bit-identical round-trip."""
+    """Returns (model, adam_state, train_cfg, extra); bit-identical round-trip.
+
+    One pass over the file: each tensor record is checked against the
+    parameter layout its config implies and copied once into an array of its
+    own. The model draws no random init; every parameter comes from the file.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12:
         raise CheckpointError("truncated checkpoint file")
-    body, crc_bytes = raw[:-4], raw[-4:]
-    if zlib.crc32(body) & 0xFFFFFFFF != struct.unpack("<I", crc_bytes)[0]:
+    buf = memoryview(raw)[:-4]
+    if zlib.crc32(buf) & 0xFFFFFFFF != struct.unpack_from("<I", raw, len(buf))[0]:
         raise CheckpointError("checksum failure")
-    buf = memoryview(body)
-    off = 0
-    magic, off = _read(buf, off, 4)
-    if magic != MAGIC:
-        raise CheckpointError(f"bad magic {magic!r}")
-    ver, = struct.unpack("<I", _read(buf, off, 4)[0]); off += 4
+    if buf[:4] != MAGIC:
+        raise CheckpointError(f"bad magic {bytes(buf[:4])!r}")
+    (ver,), off = _unpack("<I", buf, 4)
     if ver != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {ver}")
-    blob_len, = struct.unpack("<I", _read(buf, off, 4)[0]); off += 4
-    blob, off = _read(buf, off, blob_len)
+    (blob_len,), off = _unpack("<I", buf, off)
     try:
-        meta = json.loads(blob.decode("utf-8"))
+        meta = json.loads(str(buf[off:_end(buf, off + blob_len)], "utf-8"))
         cfg_dict, adam_step = meta["config"], meta["adam_step"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed checkpoint metadata: {exc!r}") from exc
     if type(adam_step) is not int or adam_step < 0:
         raise CheckpointError(f"adam_step must be an int >= 0, got {adam_step!r}")
-    n_records, = struct.unpack("<I", _read(buf, off, 4)[0]); off += 4
-
-    tensors: Dict[str, np.ndarray] = {}
-    for _ in range(n_records):
-        name_len, = struct.unpack("<I", _read(buf, off, 4)[0]); off += 4
-        name, off = _read(buf, off, name_len)
-        try:
-            name = name.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"tensor name is not UTF-8: {exc}") from exc
-        tag, rank = struct.unpack("<BB", _read(buf, off, 2)[0]); off += 2
-        shape = struct.unpack(f"<{rank}I", _read(buf, off, 4 * rank)[0]); off += 4 * rank
-        dtype = _TAG_DTYPES.get(tag)
-        if dtype is None:
-            raise CheckpointError(f"unknown dtype tag {tag} for {name}")
-        if name in tensors:
-            raise CheckpointError(f"duplicate tensor record {name}")
-        payload, off = _read(buf, off, math.prod(shape) * dtype.itemsize)
-        try:
-            tensors[name] = np.frombuffer(payload, dtype=dtype.newbyteorder("<")) \
-                .astype(dtype).reshape(shape)
-        except ValueError as exc:
-            raise CheckpointError(f"bad shape {shape} for {name}: {exc}") from exc
-
     try:
         model_cfg, train_cfg = config_from_dict(cfg_dict)
     except ConfigError as exc:
         raise CheckpointError(f"invalid checkpoint config: {exc}") from exc
-    model = ReportModel(model_cfg)
+    model = ReportModel(model_cfg, _random_init=False)
+    layout = {f"{pre}{name}": p.data for name, p in model.params.items()
+              for pre in ("", "adam.m.", "adam.v.")}
 
-    def take(key: str, like: np.ndarray) -> np.ndarray:
+    (n_records,), off = _unpack("<I", buf, off + blob_len)
+    tensors: Dict[str, np.ndarray] = {}
+    for _ in range(n_records):
+        (name_len,), off = _unpack("<I", buf, off)
+        try:
+            name = str(buf[off:_end(buf, off + name_len)], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"tensor name is not UTF-8: {exc}") from exc
+        (tag, rank), off = _unpack("<BB", buf, off + name_len)
+        shape, off = _unpack(f"<{rank}I", buf, off)
+        dtype = _TAG_DTYPES.get(tag)
+        if dtype is None:
+            raise CheckpointError(f"unknown dtype tag {tag} for {name}")
+        like = layout.get(name)
+        if like is None:
+            raise CheckpointError(f"checkpoint has a record no parameter owns: {name}")
+        if name in tensors:
+            raise CheckpointError(f"duplicate tensor record {name}")
+        if shape != like.shape or dtype != like.dtype:
+            raise CheckpointError(f"{name} is {dtype}{shape}, the model "
+                                  f"expects {like.dtype}{like.shape}")
+        _end(buf, off + like.nbytes)
+        # astype copies: an aligned, writable array that owns its memory
+        tensors[name] = np.frombuffer(buf, dtype.newbyteorder("<"), count=like.size,
+                                      offset=off).reshape(shape).astype(dtype)
+        off += like.nbytes
+
+    def take(key: str) -> np.ndarray:
         arr = tensors.get(key)
         if arr is None:
             raise CheckpointError(f"checkpoint missing tensor {key}")
-        if arr.shape != like.shape or arr.dtype != like.dtype:
-            raise CheckpointError(f"{key} is {arr.dtype}{arr.shape}, the model "
-                                  f"expects {like.dtype}{like.shape}")
         return arr
 
-    unknown = tensors.keys() - {f"{pre}{name}" for name in model.params
-                                for pre in ("", "adam.m.", "adam.v.")}
-    if unknown:
-        raise CheckpointError(f"checkpoint has records no parameter owns: {sorted(unknown)}")
     state = AdamState(step=adam_step)
     for name, p in model.params.items():
-        p.data = take(name, p.data)
+        p.data = take(name)
         if f"adam.m.{name}" in tensors or f"adam.v.{name}" in tensors:
-            state.m[name] = take(f"adam.m.{name}", p.data)
-            state.v[name] = take(f"adam.v.{name}", p.data)
+            state.m[name] = take(f"adam.m.{name}")
+            state.v[name] = take(f"adam.v.{name}")
     return model, state, train_cfg, meta.get("extra", {})

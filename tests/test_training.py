@@ -7,9 +7,10 @@ import zlib
 import numpy as np
 import pytest
 
+from fusegen import cli
 from fusegen import data as D
 from fusegen import training as TR
-from fusegen.config import ConfigError, TrainConfig
+from fusegen.config import ConfigError, ModelConfig, TrainConfig
 from fusegen.model import ReportModel
 from fusegen.tensor import Tensor
 from fusegen.verify import toy_config
@@ -186,6 +187,37 @@ def test_resume_continues_the_loss_curve(tmp_path):
         assert b.l_total == pytest.approx(a.l_total, abs=1e-9)
 
 
+def test_loaded_arrays_are_writable_aligned_and_separate(tmp_path):
+    # Adam updates the moments in place on resume and grad checks write into
+    # p.data, so no loaded array may be read-only or alias another
+    model, state, _, tc = _tiny_run(1)
+    p = str(tmp_path / "w.ckpt")
+    TR.save_checkpoint(model, state, tc, p)
+    m2, s2, _, _ = TR.load_checkpoint(p)
+    arrays = [q.data for q in m2.params.values()] + [*s2.m.values(), *s2.v.values()]
+    assert len(arrays) == 3 * len(model.params)
+    for a in arrays:
+        assert a.flags.writeable and a.flags.aligned and a.flags.owndata
+        assert a.flags.c_contiguous
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("row", cli.ABLATION_GRID, ids=lambda row: row[0])
+def test_load_layout_matches_random_init(row, dtype):
+    # the layout a checkpoint load fills is the one a fresh model trains
+    _, kw, ab, ad, ca = row
+    cfg = ModelConfig(dtype=dtype, use_keywords=kw, use_abstractor=ab,
+                      use_adaptor=ad, use_alignment=ca)
+    drawn = ReportModel(cfg).params
+    layout = ReportModel(cfg, _random_init=False).params
+    assert list(layout) == list(drawn)
+    for name, p in drawn.items():
+        assert (layout[name].shape, layout[name].data.dtype) == (p.shape, p.data.dtype)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     p = str(tmp_path / "bad.ckpt")
     with open(p, "wb") as fh:
@@ -331,6 +363,44 @@ def test_checkpoint_malformed_body_raises_checkpoint_error(tmp_path, corrupt):
     p.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
     with pytest.raises(TR.CheckpointError):
         TR.load_checkpoint(str(p))
+
+
+def _truncation_cuts(body, n_records=3):
+    """Body lengths that end at each field boundary of the header, the
+    metadata and the first records, inside multi-byte fields, and in the
+    middle of each of those payloads."""
+    meta_end = _meta_end(body)
+    cuts = [0, 2, 4, 6, 8, 10, 12, (12 + meta_end) // 2, meta_end - 1,
+            meta_end, meta_end + 2, meta_end + 4]
+    off = meta_end + 4
+    for _ in range(n_records):
+        name_len = struct.unpack_from("<I", body, off)[0]
+        tag, rank = body[off + 4 + name_len], body[off + 5 + name_len]
+        shape_at = off + 6 + name_len
+        shape = struct.unpack_from(f"<{rank}I", body, shape_at)
+        payload = int(np.prod(shape)) * TR._TAG_DTYPES[tag].itemsize
+        end = shape_at + 4 * rank + payload
+        cuts += [off, off + 2, off + 4, off + 4 + name_len // 2, off + 4 + name_len,
+                 off + 5 + name_len, shape_at, shape_at + 2,
+                 *range(shape_at + 4, shape_at + 4 * rank + 1, 4),
+                 shape_at + 4 * rank + payload // 2, end - 1, end]
+        off = end
+    return cuts
+
+
+def test_checkpoint_truncated_body_raises_checkpoint_error(tmp_path):
+    # each cut body gets a fresh CRC, so the parser's own bounds checks must
+    # catch it, not struct.error or np.frombuffer's ValueError
+    model, state, _, tc = _tiny_run(1)
+    p = tmp_path / "cut.ckpt"
+    TR.save_checkpoint(model, state, tc, str(p))
+    body = p.read_bytes()[:-4]
+    cuts = _truncation_cuts(body)
+    assert len(cuts) > 40 and max(cuts) < len(body)
+    for cut in cuts:
+        p.write_bytes(body[:cut] + struct.pack("<I", zlib.crc32(body[:cut]) & 0xFFFFFFFF))
+        with pytest.raises(TR.CheckpointError):
+            TR.load_checkpoint(str(p))
 
 
 def _fuzz_offsets(body, n_records=12):
