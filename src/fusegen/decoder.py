@@ -6,14 +6,17 @@ fused memory -> residual -> RMS pre-norm -> SwiGLU -> residual. The
 cross-attention memory is the projected fused rows followed by the decoder's
 own input-token embeddings, with the report segment causally masked
 (``memory_mask``) so logits at position t never see tokens past t. Training
-builds it in one pass; cached decoding runs N streams in lockstep and appends
-the fused rows and the first token at step 0, then one token row per step, to
-a per-layer KV cache that also holds the cross-attention projections.
+builds it in one pass on Tensors. Cached decoding (``decode_step``) runs the
+same layers on the parameters' arrays, without the tape, for N streams in
+lockstep: it appends the fused rows and the first token at step 0, then one
+token row per step, to a per-layer KV cache that also holds the
+cross-attention projections.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import List, Optional
 
 import numpy as np
@@ -58,13 +61,14 @@ ROPE_BASE = 10000.0
 
 
 @functools.lru_cache(maxsize=256)
-def _rope_tables(start_pos: int, length: int, head_dim: int):
+def _rope_tables(start_pos: int, length: int, head_dim: int, dtype=np.float64):
     """Read-only (length, head_dim/2) cos and sin tables for positions
-    start_pos .. start_pos+length-1."""
+    start_pos .. start_pos+length-1, computed in float64 and cast to
+    ``dtype``."""
     pos = np.arange(start_pos, start_pos + length, dtype=float)[:, None]
     theta = ROPE_BASE ** (-2.0 * np.arange(head_dim // 2, dtype=float) / head_dim)[None, :]
     ang = pos * theta
-    cos, sin = np.cos(ang), np.sin(ang)
+    cos, sin = np.cos(ang).astype(dtype, copy=False), np.sin(ang).astype(dtype, copy=False)
     cos.flags.writeable = False
     sin.flags.writeable = False
     return cos, sin
@@ -79,9 +83,7 @@ def rope_apply(x: Tensor, start_pos: int = 0) -> Tensor:
     hd = x.shape[-1]
     if hd % 2 != 0:
         raise ConfigError(f"head_dim must be even for rotary embeddings, got {hd}")
-    cos, sin = (t.astype(x.data.dtype, copy=False)
-                for t in _rope_tables(start_pos, x.shape[-2], hd))
-    return T.rotate_pairs(x, cos, sin)
+    return T.rotate_pairs(x, *_rope_tables(start_pos, x.shape[-2], hd, x.data.dtype))
 
 
 # ---------------------------------------------------------------------
@@ -89,7 +91,8 @@ def rope_apply(x: Tensor, start_pos: int = 0) -> Tensor:
 # ---------------------------------------------------------------------
 
 class KVCache:
-    """Per-layer cached keys/values for N decode streams run in lockstep.
+    """Per-layer cached keys/values for N streams that ``decode_step`` runs
+    in lockstep.
 
     Self-attention: ``k``/``v`` hold (N, n_kv, t, head_dim) per layer, and t
     grows by exactly one per decode step. Cross-attention: ``mem_k``/``mem_v``
@@ -144,54 +147,29 @@ class KVCache:
         return buf[:, :, :end]
 
 
-def gqa_attention(
-    x: Tensor,
-    params: dict,
-    cfg: ModelConfig,
-    layer: int,
-    cache: Optional[KVCache] = None,
-    start_pos: int = 0,
-) -> Tensor:
+def gqa_attention(x: Tensor, params: dict, cfg: ModelConfig, layer: int) -> Tensor:
     """Causal grouped-query self-attention; each group of n_q/n_kv query heads
-    shares one KV head. With a cache, x must be a single new position per
-    stream and the fresh K/V are appended."""
+    shares one KV head."""
     pre = f"dec.layer{layer}.sa"
-    n, tq, _ = x.shape
-    n_q, n_kv = cfg.n_q, cfg.n_kv
+    n, t, _ = x.shape
+    n_q, n_kv, hd = cfg.n_q, cfg.n_kv, cfg.head_dim
 
-    q = rope_apply(nn.split_heads(T.matmul(x, params[f"{pre}.w_q"]), n_q), start_pos)
-    k = rope_apply(nn.split_heads(T.matmul(x, params[f"{pre}.w_k"]), n_kv), start_pos)
+    q = rope_apply(nn.split_heads(T.matmul(x, params[f"{pre}.w_q"]), n_q))
+    k = rope_apply(nn.split_heads(T.matmul(x, params[f"{pre}.w_k"]), n_kv))
     v = nn.split_heads(T.matmul(x, params[f"{pre}.w_v"]), n_kv)
 
-    if cache is not None:
-        if cache.length(layer) != start_pos:
-            raise ValueError(f"cache holds {cache.length(layer)} positions, expected {start_pos}")
-        cache.append(layer, k.data, v.data)
-        k = Tensor(cache.k[layer])
-        v = Tensor(cache.v[layer])
-
-    # (N, n_kv, group, S, hd) queries against (N, n_kv, 1, S, hd) keys/values
-    tk, hd = k.shape[2], cfg.head_dim
-    km = None if cache is not None else ~np.triu(np.ones((tq, tk), dtype=bool), k=1)
-    out, _ = nn.attention(q.reshape(n, n_kv, n_q // n_kv, tq, hd), k.reshape(n, n_kv, 1, tk, hd),
-                          v.reshape(n, n_kv, 1, tk, hd), cfg.attn_norm, km)
-    return T.matmul(nn.merge_heads(out.reshape(n, n_q, tq, hd)), params[f"{pre}.w_o"])
+    # (N, n_kv, group, T, hd) queries against (N, n_kv, 1, T, hd) keys/values
+    km = ~np.triu(np.ones((t, t), dtype=bool), k=1)
+    out, _ = nn.attention(q.reshape(n, n_kv, n_q // n_kv, t, hd), k.reshape(n, n_kv, 1, t, hd),
+                          v.reshape(n, n_kv, 1, t, hd), cfg.attn_norm, km)
+    return T.matmul(nn.merge_heads(out.reshape(n, n_q, t, hd)), params[f"{pre}.w_o"])
 
 
-def cross_attention(
-    x: Tensor,
-    memory: Tensor,
-    params: dict,
-    cfg: ModelConfig,
-    layer: int,
-    mem_mask: np.ndarray,
-    cache: Optional[KVCache] = None,
-) -> Tensor:
+def cross_attention(x: Tensor, memory: Tensor, params: dict, cfg: ModelConfig,
+                    layer: int, mem_mask: np.ndarray) -> Tensor:
     """Standard multi-head attention of decoder states over the memory rows.
 
-    ``mem_mask``: boolean (N, Tq, S_m), True = may attend. With a cache,
-    ``memory`` holds only the rows to append; the queries attend over every
-    row appended so far.
+    ``mem_mask``: boolean (N, Tq, S_m), True = may attend.
     """
     pre = f"dec.layer{layer}.ca"
 
@@ -200,9 +178,6 @@ def cross_attention(
 
     q = heads(x, params[f"{pre}.w_q"])
     k, v = heads(memory, params[f"{pre}.w_k"]), heads(memory, params[f"{pre}.w_v"])
-    if cache is not None:
-        cache.extend_memory(layer, k.data, v.data)
-        k, v = Tensor(cache.mem_k[layer]), Tensor(cache.mem_v[layer])
     out, _ = nn.attention(q, k, v, cfg.attn_norm, mem_mask[:, None])  # head axis
     return T.matmul(nn.merge_heads(out), params[f"{pre}.w_o"])
 
@@ -230,21 +205,13 @@ def memory_mask(f_row_mask: np.ndarray, start: int, t: int) -> np.ndarray:
                            np.broadcast_to(causal, (n, t, start + t))], axis=2)
 
 
-def decoder_layer(
-    x: Tensor,
-    memory: Tensor,
-    mem_mask: np.ndarray,
-    params: dict,
-    cfg: ModelConfig,
-    layer: int,
-    cache: Optional[KVCache] = None,
-    start_pos: int = 0,
-) -> Tensor:
+def decoder_layer(x: Tensor, memory: Tensor, mem_mask: np.ndarray, params: dict,
+                  cfg: ModelConfig, layer: int) -> Tensor:
     pre = f"dec.layer{layer}"
     h = T.rms_norm(x, params[f"{pre}.rms1.g"])
-    x = x + gqa_attention(h, params, cfg, layer, cache=cache, start_pos=start_pos)
+    x = x + gqa_attention(h, params, cfg, layer)
     h = T.rms_norm(x, params[f"{pre}.rms2.g"])
-    x = x + cross_attention(h, memory, params, cfg, layer, mem_mask, cache=cache)
+    x = x + cross_attention(h, memory, params, cfg, layer, mem_mask)
     h = T.rms_norm(x, params[f"{pre}.rms3.g"])
     x = x + swiglu_ffn(h, params[f"{pre}.ffn.w1"], params[f"{pre}.ffn.w2"], params[f"{pre}.ffn.w3"])
     return x
@@ -284,14 +251,63 @@ def decode_step(
     """One cached autoregressive step for N streams: (N,) ids at position
     ``pos`` -> (N, vocab) logits. Step 0 appends the projected fused rows and
     the token's embedding to the cross-attention memory; later steps append
-    only the token's embedding."""
-    x = T.embedding(params["dec.embed"], np.asarray(token_ids)[:, None])
-    rows = x if pos > 0 else T.concat([project_memory(f, params), x], axis=-2)
-    mem_mask = memory_mask(f_row_mask, pos, 1)
+    only the token's embedding.
+
+    Runs the layers of ``decoder_layer`` on the parameters' arrays and
+    builds no Tensor; the logits match ``decoder_forward``'s row at ``pos``
+    to rounding."""
+    w = {name: p.data for name, p in params.items()}
+    x = T._lookup_np(w["dec.embed"], np.asarray(token_ids)[:, None])
+    n, hd, n_q, n_kv = x.shape[0], cfg.head_dim, cfg.n_q, cfg.n_kv
+    rows = x if pos > 0 else np.concatenate(
+        [f.data @ w["dec.mem.w"] + w["dec.mem.b"], x], axis=-2)
+    blocked = ~memory_mask(f_row_mask, pos, 1)[:, None]    # head axis
+    cos, sin = _rope_tables(pos, 1, hd, x.dtype)
     for l in range(cfg.dec_layers):
-        x = decoder_layer(x, rows, mem_mask, params, cfg, l, cache=cache, start_pos=pos)
-    x = T.rms_norm(x, params["dec.final_rms.g"])
-    return T.matmul(x, params["dec.head.w"]).data[:, 0]
+        if cache.length(l) != pos:
+            raise ValueError(f"cache holds {cache.length(l)} positions, expected {pos}")
+        pre = f"dec.layer{l}"
+        h = _rms_np(x, w[f"{pre}.rms1.g"])
+        q = T._rotate_np(nn.split_heads(h @ w[f"{pre}.sa.w_q"], n_q), cos, sin)
+        cache.append(l, T._rotate_np(nn.split_heads(h @ w[f"{pre}.sa.w_k"], n_kv), cos, sin),
+                     nn.split_heads(h @ w[f"{pre}.sa.w_v"], n_kv))
+        out = _attention_np(q.reshape(n, n_kv, n_q // n_kv, 1, hd),
+                            cache.k[l].reshape(n, n_kv, 1, pos + 1, hd),
+                            cache.v[l].reshape(n, n_kv, 1, pos + 1, hd), cfg.attn_norm)
+        x = x + nn.merge_heads(out.reshape(n, n_q, 1, hd)) @ w[f"{pre}.sa.w_o"]
+
+        h = _rms_np(x, w[f"{pre}.rms2.g"])
+        q = nn.split_heads(h @ w[f"{pre}.ca.w_q"], n_q)
+        cache.extend_memory(l, nn.split_heads(rows @ w[f"{pre}.ca.w_k"], n_q),
+                            nn.split_heads(rows @ w[f"{pre}.ca.w_v"], n_q))
+        out = _attention_np(q, cache.mem_k[l], cache.mem_v[l], cfg.attn_norm, blocked)
+        x = x + nn.merge_heads(out) @ w[f"{pre}.ca.w_o"]
+
+        h = _rms_np(x, w[f"{pre}.rms3.g"])
+        gate = h @ w[f"{pre}.ffn.w2"]
+        x = x + ((h @ w[f"{pre}.ffn.w1"]) * (gate * T._sigmoid_np(gate))) @ w[f"{pre}.ffn.w3"]
+    return (_rms_np(x, w["dec.final_rms.g"]) @ w["dec.head.w"])[:, 0]
+
+
+def _rms_np(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """``T.rms_norm`` on arrays."""
+    return x * T._inv_rms(x, T._NORM_EPS) * gain
+
+
+def _attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, mode: str,
+                  blocked: Optional[np.ndarray] = None) -> np.ndarray:
+    """``nn.attention`` on arrays; ``blocked`` is True where a key is masked."""
+    logits = np.matmul(q, k.swapaxes(-1, -2)) * q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
+    if mode == "softmax":
+        if blocked is not None:
+            logits = np.where(blocked, -np.inf, logits)
+        return np.matmul(T._softmax_np(logits), v)
+    if mode != "sigmoid":
+        raise ValueError(f"unknown attention normalization {mode!r}")
+    weights = T._sigmoid_np(logits)
+    if blocked is not None:
+        weights = np.where(blocked, 0.0, weights)
+    return np.matmul(weights, v)
 
 
 def cross_entropy(logits: Tensor, target_ids: np.ndarray, mask: np.ndarray):

@@ -147,21 +147,21 @@ class ReportModel:
         tokens: List[List[int]] = [[] for _ in range(n)]
         with T.no_grad():
             f, f_row_mask = self.fuse(image, kw_ids, kw_mask)
-            cache = dec_mod.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, max_len)
-            cur = np.full(n, bos_id)
-            live = np.ones(n, dtype=bool)
-            for pos in range(max_len):
-                logits = dec_mod.decode_step(cur, pos, f, f_row_mask, self.params, cfg, cache)
-                if mode == "greedy":
-                    cur = logits.argmax(axis=-1)
-                else:
-                    for i in np.flatnonzero(live):
-                        cur[i] = self._sample(logits[i], temperature, rng)
-                live &= cur != eos_id
+        cache = dec_mod.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, max_len)
+        cur = np.full(n, bos_id)
+        live = np.ones(n, dtype=bool)
+        for pos in range(max_len):
+            logits = dec_mod.decode_step(cur, pos, f, f_row_mask, self.params, cfg, cache)
+            if mode == "greedy":
+                cur = logits.argmax(axis=-1)
+            else:
                 for i in np.flatnonzero(live):
-                    tokens[i].append(int(cur[i]))
-                if not live.any():
-                    break
+                    cur[i] = self._sample(logits[i], temperature, rng)
+            live &= cur != eos_id
+            for i in np.flatnonzero(live):
+                tokens[i].append(int(cur[i]))
+            if not live.any():
+                break
         return tokens
 
     @staticmethod

@@ -71,13 +71,13 @@ def init_mha(rng: Optional[np.random.Generator], d: int) -> dict:
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    # (N, S, d) -> (N, h, S, d/h)
+    # (N, S, d) -> (N, h, S, d/h); decode_step passes plain arrays
     n, s, d = x.shape
     return x.reshape(n, s, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
 def merge_heads(x: Tensor) -> Tensor:
-    # (N, h, S, dh) -> (N, S, h*dh)
+    # (N, h, S, dh) -> (N, S, h*dh); decode_step passes plain arrays
     n, h, s, dh = x.shape
     return x.transpose(0, 2, 1, 3).reshape(n, s, h * dh)
 

@@ -470,12 +470,17 @@ def getitem(a: Tensor, idx) -> Tensor:
     return _make(data, (a,), backward)
 
 
+def _lookup_np(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows of ``table`` at integer ``ids``; the forward of ``embedding``."""
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise IndexError(f"token id out of range for table of {table.shape[0]} rows")
+    return table[ids]
+
+
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup into ``table`` by integer ``ids`` (any shape)."""
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexError(f"token id out of range for table of {table.shape[0]} rows")
-    data = table.data[ids]
+    data = _lookup_np(table.data, ids)
 
     def backward(g):
         full = np.zeros_like(table.data)
@@ -511,16 +516,19 @@ def _row_max(d: np.ndarray, op: str) -> np.ndarray:
     return m
 
 
+def _softmax_np(d: np.ndarray) -> np.ndarray:
+    """Trailing-axis softmax of an array; the forward of ``softmax_rows``."""
+    e = np.exp(d - _row_max(d, "softmax_rows"))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the trailing axis, stabilized by max-subtraction.
 
     -inf entries (masking) are allowed and get exactly zero weight; NaN or
     +inf inputs and rows of only -inf raise NonFiniteError.
     """
-    d = x.data
-    m = _row_max(d, "softmax_rows")
-    e = np.exp(d - m)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = _softmax_np(x.data)
 
     def backward(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
@@ -546,12 +554,15 @@ def log_softmax(x: Tensor) -> Tensor:
     return _make(out, (x,), backward)
 
 
+_NORM_EPS = 1e-5   # the default eps of layer_norm and rms_norm
+
+
 def _inv_rms(v: np.ndarray, eps: float) -> np.ndarray:
     """(mean(v^2, trailing axis) + eps)^-1/2, keepdims."""
     return ((v * v).sum(axis=-1, keepdims=True) * (1.0 / v.shape[-1]) + eps) ** -0.5
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _NORM_EPS) -> Tensor:
     """Per-row (trailing axis) standardization followed by gain and bias."""
     d = x.data
     xc = d - d.sum(axis=-1, keepdims=True) * (1.0 / d.shape[-1])
@@ -571,7 +582,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(xhat * gain.data + bias.data, (x, gain, bias), backward)
 
 
-def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
+def rms_norm(x: Tensor, gain: Tensor, eps: float = _NORM_EPS) -> Tensor:
     """x / sqrt(mean(x^2) + eps) over the trailing axis, then elementwise gain."""
     inv = _inv_rms(x.data, eps)
     xhat = x.data * inv
@@ -586,23 +597,25 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     return _make(xhat * gain.data, (x, gain), backward)
 
 
+def _rotate_np(v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """The pair rotation of ``rotate_pairs`` on an array."""
+    out = np.empty_like(v)
+    vr, vi = v[..., 0::2], v[..., 1::2]
+    out[..., 0::2] = vr * cos - vi * sin
+    out[..., 1::2] = vr * sin + vi * cos
+    return out
+
+
 def rotate_pairs(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotate each adjacent pair (x[2k], x[2k+1]) of the trailing axis by the
     angle whose cosine and sine are ``cos[..., k]``/``sin[..., k]``; the
     tables broadcast against x's leading axes. The backward pass is the
     inverse rotation."""
 
-    def rotate(v, s):
-        out = np.empty_like(v)
-        vr, vi = v[..., 0::2], v[..., 1::2]
-        out[..., 0::2] = vr * cos - vi * s
-        out[..., 1::2] = vr * s + vi * cos
-        return out
-
     def backward(g):
-        x._accum(rotate(g, -sin))
+        x._accum(_rotate_np(g, cos, -sin))
 
-    return _make(rotate(x.data, sin), (x,), backward)
+    return _make(_rotate_np(x.data, cos, sin), (x,), backward)
 
 
 # ---------------------------------------------------------------------

@@ -247,3 +247,32 @@ def test_bad_config_in_checkpoint_is_a_checkpoint_error(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["eval", "--out", out]) == 2
     assert "checkpoint error" in capsys.readouterr().err
+
+
+def test_main_calls_in_one_process_see_only_their_own_flags(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process; no flag of one call leaks
+    into the next."""
+    cfg_path = _toy_config_file(tmp_path)
+    out = str(tmp_path / "run")
+    cli.main(["train", "--config", cfg_path, "--out", out, "--epochs", "1"])
+    seen, encode = [], D.encode_keyword_string
+
+    def spy(vocab, keywords, *args, **kwargs):
+        seen.append(keywords)
+        return encode(vocab, keywords, *args, **kwargs)
+
+    monkeypatch.setattr(D, "encode_keyword_string", spy)
+    assert cli.main(["generate", "--out", out, "--keywords", "ring"]) == 0
+    assert cli.main(["generate", "--out", out]) == 0
+    assert seen == ["ring", D.make_sample(0, 0, side=toy_config().image_side).keywords]
+
+    grids = []
+    for name, flags in (("kw", ["--ablate", "kw"]), ("full", [])):
+        run = str(tmp_path / name)
+        assert cli.main(["ablate", "--config", cfg_path, "--out", run, "--epochs", "1",
+                         *flags]) == 0
+        echoed = json.load(open(os.path.join(run, "config.json")))
+        rows = [json.loads(line)["row"] for line in open(os.path.join(run, "ablation.jsonl"))]
+        grids.append((echoed["use_keywords"], rows))
+    labels = [row[0] for row in cli.ABLATION_GRID]
+    assert grids == [(False, labels), (True, labels)]

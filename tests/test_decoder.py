@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fusegen import decoder as DEC
+from fusegen import nn
 from fusegen import tensor as T
 from fusegen.config import ConfigError
 from fusegen.tensor import Tensor
@@ -144,29 +145,42 @@ def test_gqa_group_sharing_oracle():
 # KV cache
 # ---------------------------------------------------------------------
 
-def test_cached_equals_uncached_attention():
-    cfg, params = _setup()
-    t = 6
-    x = RNG.normal(0, 1, (1, t, cfg.dec_d))
-    full = DEC.gqa_attention(Tensor(x), params, cfg, layer=0).data
+def _decode(ids, f, f_mask, params, cfg):
+    """(N, T, vocab) logits of a decode_step loop over the (N, T) ids, and
+    the cache it filled."""
+    cache = DEC.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, ids.shape[1])
+    steps = [DEC.decode_step(ids[:, pos], pos, f, f_mask, params, cfg, cache)
+             for pos in range(ids.shape[1])]
+    return np.stack(steps, axis=1), cache
 
-    cache = DEC.KVCache(1, cfg.n_kv, cfg.head_dim, t)
-    step_out = np.zeros_like(full)
-    for pos in range(t):
-        o = DEC.gqa_attention(Tensor(x[:, pos:pos + 1]), params, cfg, layer=0,
-                              cache=cache, start_pos=pos)
-        step_out[:, pos] = o.data[:, 0]
-    np.testing.assert_allclose(step_out, full, atol=1e-10)
+
+def test_cached_equals_uncached_attention():
+    """Masked fused rows, in both attention modes: the cached step's
+    attention over its growing caches equals the uncached forward."""
+    for mode in ("softmax", "sigmoid"):
+        cfg, params = _setup(attn_norm=mode)
+        n, t = 3, 6
+        f, f_mask = _fused(cfg, n=n)
+        f_mask[1, 2:] = False
+        f_mask[2, ::2] = False
+        ids = RNG.integers(0, cfg.vocab_size, (n, t))
+        full = DEC.decoder_forward(ids, f, f_mask, params, cfg).data
+        cached, _ = _decode(ids, f, f_mask, params, cfg)
+        np.testing.assert_allclose(cached, full, rtol=0, atol=1e-10, err_msg=mode)
 
 
 def test_cache_grows_one_per_step_and_checks_position():
     cfg, params = _setup()
+    f, f_mask = _fused(cfg, n=2)
     cache = DEC.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, 8)
-    x = Tensor(RNG.normal(0, 1, (1, 1, cfg.dec_d)))
-    DEC.gqa_attention(x, params, cfg, layer=0, cache=cache, start_pos=0)
-    assert cache.length(0) == 1
-    with pytest.raises(ValueError):
-        DEC.gqa_attention(x, params, cfg, layer=0, cache=cache, start_pos=5)
+    ids = RNG.integers(0, cfg.vocab_size, 2)
+    for pos in range(2):
+        DEC.decode_step(ids, pos, f, f_mask, params, cfg, cache)
+        assert [cache.length(l) for l in range(cfg.dec_layers)] == [pos + 1] * cfg.dec_layers
+    for wrong in (0, 1, 5):
+        with pytest.raises(ValueError, match="positions"):
+            DEC.decode_step(ids, wrong, f, f_mask, params, cfg, cache)
+    assert cache.length(0) == 2
     with pytest.raises(ValueError):
         cache.append(0, np.zeros((cfg.n_kv, 2, cfg.head_dim)),
                      np.zeros((cfg.n_kv, 2, cfg.head_dim)))
@@ -198,23 +212,50 @@ def test_batched_decode_step_rows_match_full_forward_per_stream():
 
 
 def test_cross_attention_kv_cache_matches_uncached():
-    """The cache projects each memory row once, also as the memory grows."""
+    """The cache projects each memory row once, also as the memory grows:
+    step 0 adds the fused rows and the first token, each later step one
+    token row, and the rows equal the projections of the whole memory."""
     cfg, params = _setup()
-    n = 2
-    mem = RNG.normal(0, 1, (n, 8, cfg.dec_d))
-    mask = RNG.uniform(size=(n, 1, 8)) > 0.3
-    mask[:, :, 0] = True
-    cache = DEC.KVCache(1, cfg.n_kv, cfg.head_dim, 4)
-    seen = 0
-    for rows in (5, 5, 6, 8):
-        x = Tensor(RNG.normal(0, 1, (n, 1, cfg.dec_d)))
-        a = DEC.cross_attention(x, Tensor(mem[:, seen:rows]), params, cfg, 0,
-                                mem_mask=mask[..., :rows], cache=cache)
-        b = DEC.cross_attention(x, Tensor(mem[:, :rows]), params, cfg, 0,
-                                mem_mask=mask[..., :rows])
-        np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12)
-        assert cache.mem_k[0].shape[2] == rows
-        seen = rows
+    n, t, s_f = 2, 4, 6
+    f, f_mask = _fused(cfg, n=n, rows=s_f)
+    ids = RNG.integers(0, cfg.vocab_size, (n, t))
+    memory = T.concat([DEC.project_memory(f, params),
+                       T.embedding(params["dec.embed"], ids)], axis=-2)
+    cache = DEC.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, t)
+    earlier = []
+    for pos in range(t):
+        DEC.decode_step(ids[:, pos], pos, f, f_mask, params, cfg, cache)
+        rows = s_f + pos + 1
+        for l in range(cfg.dec_layers):
+            for cached, name in ((cache.mem_k[l], "w_k"), (cache.mem_v[l], "w_v")):
+                w = params[f"dec.layer{l}.ca.{name}"]
+                ref = nn.split_heads(T.matmul(memory[:, :rows], w), cfg.n_q).data
+                assert cached.shape[2] == rows
+                np.testing.assert_allclose(cached, ref, rtol=0, atol=1e-12)
+        earlier.append(cache.mem_k[0])
+    for pos, view in enumerate(earlier):   # rows already projected never change
+        np.testing.assert_array_equal(view, cache.mem_k[0][:, :, :s_f + pos + 1])
+
+
+@pytest.mark.parametrize("mode", ["softmax", "sigmoid"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_decode_step_builds_no_tensor(monkeypatch, dtype, mode):
+    cfg, params = _setup(attn_norm=mode, dtype=dtype)
+    for p in params.values():
+        p.data = p.data.astype(dtype)
+    f, f_mask = _fused(cfg, n=2)
+    f = Tensor(f.data.astype(dtype))
+    made = []
+    init = Tensor.__init__
+
+    def spy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", spy_init)
+    logits, _ = _decode(RNG.integers(0, cfg.vocab_size, (2, 5)), f, f_mask, params, cfg)
+    assert made == []
+    assert logits.dtype == np.dtype(dtype) and np.isfinite(logits).all()
 
 
 def test_cache_fills_its_buffers_in_place():

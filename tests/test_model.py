@@ -230,12 +230,16 @@ def test_float32_decode_stays_float32(monkeypatch):
     assert model.cfg.dtype == "float32"
     vocab, samples, _ = _batch(model.cfg, n=8)
     enc = [D.encode_keyword_string(vocab, s.keywords, model.cfg.s_l) for s in samples]
-    made, caches = [], []
-    init = Tensor.__init__
+    made, caches, logits = [], [], []
+    init, step = Tensor.__init__, DEC.decode_step
 
     def spy_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         made.append(self.data.dtype)
+
+    def spy_step(*args):
+        logits.append(step(*args))
+        return logits[-1]
 
     class SpyCache(DEC.KVCache):
         def __init__(self, *args, **kwargs):
@@ -243,11 +247,14 @@ def test_float32_decode_stays_float32(monkeypatch):
             caches.append(self)
 
     monkeypatch.setattr(Tensor, "__init__", spy_init)
+    monkeypatch.setattr(DEC, "decode_step", spy_step)
     monkeypatch.setattr(DEC, "KVCache", SpyCache)
     model.generate(np.stack([s.image for s in samples]),
                    np.stack([ids for ids, _ in enc]), np.stack([m for _, m in enc]),
                    vocab.bos_id, -1, max_len=6)
-    assert len(made) > 500 and set(made) == {np.dtype(np.float32)}
+    # the Tensors are fuse's; decode_step builds none
+    assert made and set(made) == {np.dtype(np.float32)}
+    assert len(logits) == 6 and {a.dtype for a in logits} == {np.dtype(np.float32)}
     (cache,) = caches
     bufs = [*cache.k, *cache.v, *cache.mem_k, *cache.mem_v]
     assert len(bufs) == 4 * model.cfg.dec_layers
