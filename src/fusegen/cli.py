@@ -34,7 +34,7 @@ ABLATION_GRID = [
     ("KAAA", True, True, True, True),
 ]
 
-# Streams per batched generate call in eval/ablate. The decode caches grow
+# Streams per batched generate call in eval/ablate. The decode caches scale
 # with the batch (the cross-attention K/V alone hold N x rows x dec_d floats
 # per layer). On the 200-report eval benchmark (2-core VM) one 200-stream
 # call raised peak RSS by 17%; 64 streams cost ~1% RSS and ~6% throughput.
@@ -52,8 +52,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attn", choices=["softmax", "sigmoid"])
     p.add_argument("--scheduler", choices=["warmup_cosine", "constant"])
     p.add_argument("--lr", type=float)
-    p.add_argument("--ablate", nargs="*", choices=["kw", "abs", "adp", "ca"],
-                   help="modules to disable")
 
 
 def _add_run_flags(p: argparse.ArgumentParser, checkpoint: bool = True) -> None:
@@ -63,7 +61,7 @@ def _add_run_flags(p: argparse.ArgumentParser, checkpoint: bool = True) -> None:
         p.add_argument("--checkpoint", help="checkpoint path (defaults under --out)")
 
 
-def _resolve_configs(args) -> tuple[ModelConfig, TrainConfig]:
+def _resolve_configs(args, ablate=()) -> tuple[ModelConfig, TrainConfig]:
     if args.config:
         model_cfg, train_cfg = load_config(args.config)
         d = config_to_dict(model_cfg, train_cfg)
@@ -73,7 +71,7 @@ def _resolve_configs(args) -> tuple[ModelConfig, TrainConfig]:
              "n_train": args.samples, "lambda_align": args.lambda_align,
              "attn_norm": args.attn, "scheduler": args.scheduler, "lr": args.lr}
     d.update((key, value) for key, value in flags.items() if value is not None)
-    for name in args.ablate or []:
+    for name in ablate:
         d[{"kw": "use_keywords", "abs": "use_abstractor",
            "adp": "use_adaptor", "ca": "use_alignment"}[name]] = False
     if not d.get("use_keywords", True):
@@ -113,7 +111,7 @@ def _build_data(model_cfg: ModelConfig, train_cfg: TrainConfig, *splits: str):
 # ---------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    model_cfg, train_cfg = _resolve_configs(args)
+    model_cfg, train_cfg = _resolve_configs(args, args.ablate)
     out = _prepare_out(args, model_cfg, train_cfg)
     vocab, train_samples = _build_data(model_cfg, train_cfg, "train")
     model = ReportModel(model_cfg)
@@ -131,8 +129,7 @@ def cmd_train(args) -> int:
             log.write(json.dumps(rec, sort_keys=True) + "\n")
             print(f"epoch {epoch}: L_total={rec['l_total']:.4f} "
                   f"L_ce/tok={rec['l_ce_per_token']:.4f} L_align={rec['l_align']:.4f}")
-    TR.save_checkpoint(model, state, train_cfg, _ckpt_path(args),
-                       extra={"steps": len(hist)})
+    TR.save_checkpoint(model, state, train_cfg, _ckpt_path(args))
     print(f"checkpoint written to {_ckpt_path(args)}")
     return 0
 
@@ -167,7 +164,7 @@ def cmd_eval(args) -> int:
     if not os.path.exists(path):
         print(f"error: checkpoint {path} not found", file=sys.stderr)
         return 1
-    model, _, train_cfg, _ = TR.load_checkpoint(path)
+    model, _, train_cfg = TR.load_checkpoint(path)
     vocab, pool = _build_data(model.cfg, train_cfg, args.split)
     hyps, refs = _decode_corpus(model, pool, vocab, args.max_len,
                                 args.keyword_dropout, drop_seed=model.cfg.seed)
@@ -181,7 +178,7 @@ def cmd_generate(args) -> int:
     if not os.path.exists(path):
         print(f"error: checkpoint {path} not found", file=sys.stderr)
         return 1
-    model, _, train_cfg, _ = TR.load_checkpoint(path)
+    model, _, train_cfg = TR.load_checkpoint(path)
     vocab = D.default_vocab()
     sample = D.make_sample(args.sample_seed, args.sample_index,
                            side=model.cfg.image_side)
@@ -253,6 +250,8 @@ def _parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train on synthetic data")
     _add_config_flags(p_train)
     _add_run_flags(p_train)
+    p_train.add_argument("--ablate", nargs="*", default=[],
+                         choices=["kw", "abs", "adp", "ca"], help="modules to disable")
 
     p_eval = sub.add_parser("eval", help="decode and score a checkpoint")
     _add_run_flags(p_eval)

@@ -8,16 +8,16 @@ own input-token embeddings, with the report segment causally masked
 (``memory_mask``) so logits at position t never see tokens past t. Training
 builds it in one pass on Tensors. Cached decoding (``decode_step``) runs the
 same layers on the parameters' arrays, without the tape, for N streams in
-lockstep: it appends the fused rows and the first token at step 0, then one
-token row per step, to a per-layer KV cache that also holds the
-cross-attention projections.
+lockstep. Its per-layer KV cache, which also holds the cross-attention
+projections, is sized by its constructor for the whole decode: step 0 writes
+the fused rows and the first token into it, each later step one token row.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -91,60 +91,24 @@ def rope_apply(x: Tensor, start_pos: int = 0) -> Tensor:
 # ---------------------------------------------------------------------
 
 class KVCache:
-    """Per-layer cached keys/values for N streams that ``decode_step`` runs
-    in lockstep.
+    """Keys/values of a ``decode_step`` run of at most ``max_len`` steps for
+    N streams over ``s_f`` fused rows, allocated once, here, in ``cfg.dtype``.
 
-    Self-attention: ``k``/``v`` hold (N, n_kv, t, head_dim) per layer, and t
-    grows by exactly one per decode step. Cross-attention: ``mem_k``/``mem_v``
-    hold the (N, heads, rows, head_dim) projections of the memory rows
-    appended so far, so each memory row is projected once. N is set by the
-    first append. Existing entries are never mutated.
-
-    Each of these is a view of a buffer that is filled in place. The first
-    append sizes it for a decode of ``max_len`` steps, one more position (or
-    memory row) per step after the first; an append past that raises
-    ValueError.
+    ``k``/``v``: (N, n_kv, max_len, head_dim) per layer. ``mem_k``/``mem_v``:
+    the (N, n_q, s_f + max_len, head_dim) cross-attention projections of the
+    memory rows, each row projected once. ``length`` counts the positions
+    written; entries written earlier never change.
     """
 
-    def __init__(self, n_layers: int, n_kv: int, head_dim: int, max_len: int):
-        self.n_kv, self.head_dim, self.max_len = n_kv, head_dim, max_len
-        self.k: List[Optional[np.ndarray]] = [None] * n_layers
-        self.v: List[Optional[np.ndarray]] = [None] * n_layers
-        self.mem_k: List[Optional[np.ndarray]] = [None] * n_layers
-        self.mem_v: List[Optional[np.ndarray]] = [None] * n_layers
-
-    def length(self, layer: int = 0) -> int:
-        return 0 if self.k[layer] is None else self.k[layer].shape[2]
-
-    def append(self, layer: int, k_new: np.ndarray, v_new: np.ndarray) -> None:
-        if k_new.ndim != 4 or k_new.shape[1:] != (self.n_kv, 1, self.head_dim):
-            raise ValueError(f"cache grows by one (N, {self.n_kv}, 1, {self.head_dim}) "
-                             f"position per step, got {k_new.shape}")
-        self.k[layer] = self._grow(self.k[layer], k_new)
-        self.v[layer] = self._grow(self.v[layer], v_new)
-
-    def extend_memory(self, layer: int, k_new: np.ndarray, v_new: np.ndarray) -> None:
-        self.mem_k[layer] = self._grow(self.mem_k[layer], k_new)
-        self.mem_v[layer] = self._grow(self.mem_v[layer], v_new)
-
-    def _grow(self, filled: Optional[np.ndarray], new: np.ndarray) -> np.ndarray:
-        """``filled`` with ``new`` appended along axis 2, as a view of the
-        buffer under ``filled``. Rows past ``filled`` are written in place,
-        so no view handed out earlier changes."""
-        t, buf = 0, None
-        if filled is not None:
-            if new.shape[0] != filled.shape[0]:
-                raise ValueError(f"cache holds {filled.shape[0]} streams, got {new.shape[0]}")
-            t, buf = filled.shape[2], filled.base
-        end = t + new.shape[2]
-        if buf is None:
-            shape = list(new.shape)
-            shape[2] = end + self.max_len - 1
-            buf = np.empty(shape, dtype=new.dtype)
-        elif end > buf.shape[2]:
-            raise ValueError(f"cache sized for {self.max_len} steps is full")
-        buf[:, :, t:end] = new
-        return buf[:, :, :end]
+    def __init__(self, cfg: ModelConfig, n: int, s_f: int, max_len: int):
+        self.n, self.s_f, self.max_len, self.length = n, s_f, max_len, 0
+        kv = (n, cfg.n_kv, max_len, cfg.head_dim)
+        mem = (n, cfg.n_q, s_f + max_len, cfg.head_dim)
+        layers = range(cfg.dec_layers)
+        self.k = [np.empty(kv, cfg.dtype) for _ in layers]
+        self.v = [np.empty(kv, cfg.dtype) for _ in layers]
+        self.mem_k = [np.empty(mem, cfg.dtype) for _ in layers]
+        self.mem_v = [np.empty(mem, cfg.dtype) for _ in layers]
 
 
 def gqa_attention(x: Tensor, params: dict, cfg: ModelConfig, layer: int) -> Tensor:
@@ -249,43 +213,54 @@ def decode_step(
     cache: KVCache,
 ) -> np.ndarray:
     """One cached autoregressive step for N streams: (N,) ids at position
-    ``pos`` -> (N, vocab) logits. Step 0 appends the projected fused rows and
-    the token's embedding to the cross-attention memory; later steps append
-    only the token's embedding.
+    ``pos`` -> (N, vocab) logits. Step 0 writes the projected fused rows and
+    the token's embedding into the cross-attention memory; later steps write
+    only the token's embedding. ``pos`` must be the cache's length.
 
     Runs the layers of ``decoder_layer`` on the parameters' arrays and
     builds no Tensor; the logits match ``decoder_forward``'s row at ``pos``
     to rounding."""
+    if pos != cache.length:
+        raise ValueError(f"cache holds {cache.length} positions, expected {pos}")
+    if pos >= cache.max_len:
+        raise ValueError(f"cache sized for {cache.max_len} steps is full")
+    ids = np.asarray(token_ids)
+    if ids.shape != (cache.n,):
+        raise ValueError(f"cache holds {cache.n} streams, got ids of shape {ids.shape}")
+    if pos == 0 and f.shape[1] != cache.s_f:
+        raise ValueError(f"cache sized for {cache.s_f} fused rows, got {f.shape[1]}")
     w = {name: p.data for name, p in params.items()}
-    x = T._lookup_np(w["dec.embed"], np.asarray(token_ids)[:, None])
+    x = T._lookup_np(w["dec.embed"], ids[:, None])
     n, hd, n_q, n_kv = x.shape[0], cfg.head_dim, cfg.n_q, cfg.n_kv
     rows = x if pos > 0 else np.concatenate(
         [f.data @ w["dec.mem.w"] + w["dec.mem.b"], x], axis=-2)
+    t, hi = pos + 1, cache.s_f + pos + 1    # positions, memory rows after this step
+    lo = hi - rows.shape[1]
     blocked = ~memory_mask(f_row_mask, pos, 1)[:, None]    # head axis
     cos, sin = _rope_tables(pos, 1, hd, x.dtype)
     for l in range(cfg.dec_layers):
-        if cache.length(l) != pos:
-            raise ValueError(f"cache holds {cache.length(l)} positions, expected {pos}")
         pre = f"dec.layer{l}"
+        k, v, mem_k, mem_v = cache.k[l], cache.v[l], cache.mem_k[l], cache.mem_v[l]
         h = _rms_np(x, w[f"{pre}.rms1.g"])
         q = T._rotate_np(nn.split_heads(h @ w[f"{pre}.sa.w_q"], n_q), cos, sin)
-        cache.append(l, T._rotate_np(nn.split_heads(h @ w[f"{pre}.sa.w_k"], n_kv), cos, sin),
-                     nn.split_heads(h @ w[f"{pre}.sa.w_v"], n_kv))
+        k[:, :, pos:t] = T._rotate_np(nn.split_heads(h @ w[f"{pre}.sa.w_k"], n_kv), cos, sin)
+        v[:, :, pos:t] = nn.split_heads(h @ w[f"{pre}.sa.w_v"], n_kv)
         out = _attention_np(q.reshape(n, n_kv, n_q // n_kv, 1, hd),
-                            cache.k[l].reshape(n, n_kv, 1, pos + 1, hd),
-                            cache.v[l].reshape(n, n_kv, 1, pos + 1, hd), cfg.attn_norm)
+                            k[:, :, :t].reshape(n, n_kv, 1, t, hd),
+                            v[:, :, :t].reshape(n, n_kv, 1, t, hd), cfg.attn_norm)
         x = x + nn.merge_heads(out.reshape(n, n_q, 1, hd)) @ w[f"{pre}.sa.w_o"]
 
         h = _rms_np(x, w[f"{pre}.rms2.g"])
         q = nn.split_heads(h @ w[f"{pre}.ca.w_q"], n_q)
-        cache.extend_memory(l, nn.split_heads(rows @ w[f"{pre}.ca.w_k"], n_q),
-                            nn.split_heads(rows @ w[f"{pre}.ca.w_v"], n_q))
-        out = _attention_np(q, cache.mem_k[l], cache.mem_v[l], cfg.attn_norm, blocked)
+        mem_k[:, :, lo:hi] = nn.split_heads(rows @ w[f"{pre}.ca.w_k"], n_q)
+        mem_v[:, :, lo:hi] = nn.split_heads(rows @ w[f"{pre}.ca.w_v"], n_q)
+        out = _attention_np(q, mem_k[:, :, :hi], mem_v[:, :, :hi], cfg.attn_norm, blocked)
         x = x + nn.merge_heads(out) @ w[f"{pre}.ca.w_o"]
 
         h = _rms_np(x, w[f"{pre}.rms3.g"])
         gate = h @ w[f"{pre}.ffn.w2"]
         x = x + ((h @ w[f"{pre}.ffn.w1"]) * (gate * T._sigmoid_np(gate))) @ w[f"{pre}.ffn.w3"]
+    cache.length = pos + 1
     return (_rms_np(x, w["dec.final_rms.g"]) @ w["dec.head.w"])[:, 0]
 
 

@@ -147,7 +147,7 @@ class ReportModel:
         tokens: List[List[int]] = [[] for _ in range(n)]
         with T.no_grad():
             f, f_row_mask = self.fuse(image, kw_ids, kw_mask)
-        cache = dec_mod.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, max_len)
+        cache = dec_mod.KVCache(cfg, n, f.shape[1], max_len)
         cur = np.full(n, bos_id)
         live = np.ones(n, dtype=bool)
         for pos in range(max_len):

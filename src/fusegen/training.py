@@ -152,12 +152,10 @@ def _tensor_record(name: str, arr: np.ndarray) -> bytes:
 
 
 def save_checkpoint(model: ReportModel, state: AdamState,
-                    train_cfg: TrainConfig, path: str,
-                    extra: Optional[dict] = None) -> None:
+                    train_cfg: TrainConfig, path: str) -> None:
     cfg_blob = json.dumps({
         "config": config_to_dict(model.cfg, train_cfg),
         "adam_step": state.step,
-        "extra": extra or {},
     }, sort_keys=True).encode("utf-8")
     body = MAGIC + struct.pack("<I", VERSION)
     body += struct.pack("<I", len(cfg_blob)) + cfg_blob
@@ -186,7 +184,7 @@ def _unpack(fmt: str, buf: memoryview, off: int):
 
 
 def load_checkpoint(path: str):
-    """Returns (model, adam_state, train_cfg, extra); bit-identical round-trip.
+    """Returns (model, adam_state, train_cfg); bit-identical round-trip.
 
     One pass over the file: each tensor record is checked against the
     parameter layout its config implies and copied once into an array of its
@@ -259,4 +257,4 @@ def load_checkpoint(path: str):
         if f"adam.m.{name}" in tensors or f"adam.v.{name}" in tensors:
             state.m[name] = take(f"adam.m.{name}")
             state.v[name] = take(f"adam.v.{name}")
-    return model, state, train_cfg, meta.get("extra", {})
+    return model, state, train_cfg

@@ -172,7 +172,7 @@ def test_criterion_3_decoder_equivalences(capsys):
     f_mask = np.ones((1, 6), dtype=bool)
     ids = RNG.integers(0, cfg.vocab_size, 8)
     full = dec_mod.decoder_forward(ids[None], f, f_mask, params, cfg).data[0]
-    cache = dec_mod.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, len(ids))
+    cache = dec_mod.KVCache(cfg, 1, f.shape[1], len(ids))
     cache_dev = 0.0
     for pos, tok in enumerate(ids):
         row = dec_mod.decode_step(ids[None, pos], pos, f, f_mask, params, cfg, cache)[0]
@@ -419,7 +419,7 @@ def test_criterion_10_determinism_and_persistence(tmp_path, capsys):
     p1 = str(tmp_path / "a.ckpt")
     p2 = str(tmp_path / "b.ckpt")
     TR.save_checkpoint(model, state, tc, p1)
-    m2, s2, tc2, _ = TR.load_checkpoint(p1)
+    m2, s2, tc2 = TR.load_checkpoint(p1)
     TR.save_checkpoint(m2, s2, tc2, p2)
     round_trip = open(p1, "rb").read() == open(p2, "rb").read()
 

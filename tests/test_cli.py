@@ -95,6 +95,7 @@ def test_eval_prints_scores(tmp_path, capsys):
     ["grad-check", "--out", "X"],
     ["train", "--keyword-dropout", "0.5"],
     ["ablate", "--checkpoint", "x.ckpt"],
+    ["ablate", "--ablate", "kw"],
 ], ids=" ".join)
 def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -118,7 +119,7 @@ def test_float32_train_then_eval_through_the_config(tmp_path, capsys):
     json.dump(d, open(cfg_path, "w"))
     out = str(tmp_path / "run")
     assert cli.main(["train", "--config", cfg_path, "--out", out, "--epochs", "1"]) == 0
-    model, state, _, _ = TR.load_checkpoint(os.path.join(out, "model.ckpt"))
+    model, state, _ = TR.load_checkpoint(os.path.join(out, "model.ckpt"))
     assert model.cfg.dtype == "float32"
     assert {p.data.dtype for p in model.params.values()} == {np.dtype(np.float32)}
     assert {m.dtype for m in state.m.values()} == {np.dtype(np.float32)}
@@ -241,7 +242,7 @@ def test_bad_config_in_checkpoint_is_a_checkpoint_error(tmp_path, capsys):
     out = str(tmp_path / "run")
     cli.main(["train", "--config", cfg_path, "--out", out, "--epochs", "1"])
     path = os.path.join(out, "model.ckpt")
-    model, state, tc, _ = TR.load_checkpoint(path)
+    model, state, tc = TR.load_checkpoint(path)
     tc.lr = "abc"
     TR.save_checkpoint(model, state, tc, path)
     capsys.readouterr()
@@ -267,12 +268,12 @@ def test_main_calls_in_one_process_see_only_their_own_flags(tmp_path, monkeypatc
     assert seen == ["ring", D.make_sample(0, 0, side=toy_config().image_side).keywords]
 
     grids = []
-    for name, flags in (("kw", ["--ablate", "kw"]), ("full", [])):
+    for name, flags in (("sigmoid", ["--attn", "sigmoid"]), ("default", [])):
         run = str(tmp_path / name)
         assert cli.main(["ablate", "--config", cfg_path, "--out", run, "--epochs", "1",
                          *flags]) == 0
         echoed = json.load(open(os.path.join(run, "config.json")))
         rows = [json.loads(line)["row"] for line in open(os.path.join(run, "ablation.jsonl"))]
-        grids.append((echoed["use_keywords"], rows))
+        grids.append((echoed["attn_norm"], rows))
     labels = [row[0] for row in cli.ABLATION_GRID]
-    assert grids == [(False, labels), (True, labels)]
+    assert grids == [("sigmoid", labels), ("softmax", labels)]

@@ -148,7 +148,7 @@ def test_gqa_group_sharing_oracle():
 def _decode(ids, f, f_mask, params, cfg):
     """(N, T, vocab) logits of a decode_step loop over the (N, T) ids, and
     the cache it filled."""
-    cache = DEC.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, ids.shape[1])
+    cache = DEC.KVCache(cfg, ids.shape[0], f.shape[1], ids.shape[1])
     steps = [DEC.decode_step(ids[:, pos], pos, f, f_mask, params, cfg, cache)
              for pos in range(ids.shape[1])]
     return np.stack(steps, axis=1), cache
@@ -172,18 +172,15 @@ def test_cached_equals_uncached_attention():
 def test_cache_grows_one_per_step_and_checks_position():
     cfg, params = _setup()
     f, f_mask = _fused(cfg, n=2)
-    cache = DEC.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, 8)
+    cache = DEC.KVCache(cfg, 2, f.shape[1], 8)
     ids = RNG.integers(0, cfg.vocab_size, 2)
     for pos in range(2):
         DEC.decode_step(ids, pos, f, f_mask, params, cfg, cache)
-        assert [cache.length(l) for l in range(cfg.dec_layers)] == [pos + 1] * cfg.dec_layers
+        assert cache.length == pos + 1
     for wrong in (0, 1, 5):
         with pytest.raises(ValueError, match="positions"):
             DEC.decode_step(ids, wrong, f, f_mask, params, cfg, cache)
-    assert cache.length(0) == 2
-    with pytest.raises(ValueError):
-        cache.append(0, np.zeros((cfg.n_kv, 2, cfg.head_dim)),
-                     np.zeros((cfg.n_kv, 2, cfg.head_dim)))
+    assert cache.length == 2
 
 
 def test_cached_decoding_matches_full_forward():
@@ -191,7 +188,7 @@ def test_cached_decoding_matches_full_forward():
     f, f_mask = _fused(cfg)
     ids = RNG.integers(0, cfg.vocab_size, 7)
     full = DEC.decoder_forward(ids[None], f, f_mask, params, cfg).data[0]
-    cache = DEC.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, len(ids))
+    cache = DEC.KVCache(cfg, 1, f.shape[1], len(ids))
     for pos, tok in enumerate(ids):
         row = DEC.decode_step(ids[None, pos], pos, f, f_mask, params, cfg, cache)[0]
         np.testing.assert_allclose(row, full[pos], atol=1e-8)
@@ -203,7 +200,7 @@ def test_batched_decode_step_rows_match_full_forward_per_stream():
     f, f_mask = _fused(cfg, n=n)
     ids = RNG.integers(0, cfg.vocab_size, (n, t))
     full = DEC.decoder_forward(ids, f, f_mask, params, cfg).data
-    cache = DEC.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, t)
+    cache = DEC.KVCache(cfg, n, f.shape[1], t)
     for pos in range(t):
         rows = DEC.decode_step(ids[:, pos], pos, f, f_mask, params, cfg, cache)
         assert rows.shape == (n, cfg.vocab_size)
@@ -211,30 +208,38 @@ def test_batched_decode_step_rows_match_full_forward_per_stream():
     assert cache.k[0].shape == (n, cfg.n_kv, t, cfg.head_dim)
 
 
-def test_cross_attention_kv_cache_matches_uncached():
+def test_cross_attention_kv_cache_matches_uncached(monkeypatch):
     """The cache projects each memory row once, also as the memory grows:
-    step 0 adds the fused rows and the first token, each later step one
-    token row, and the rows equal the projections of the whole memory."""
+    step 0 projects the fused rows and the first token, each later step one
+    token row, and the filled rows equal the projections of the whole
+    memory."""
     cfg, params = _setup()
     n, t, s_f = 2, 4, 6
     f, f_mask = _fused(cfg, n=n, rows=s_f)
     ids = RNG.integers(0, cfg.vocab_size, (n, t))
     memory = T.concat([DEC.project_memory(f, params),
                        T.embedding(params["dec.embed"], ids)], axis=-2)
-    cache = DEC.KVCache(cfg.dec_layers, cfg.n_kv, cfg.head_dim, t)
-    earlier = []
+    cache = DEC.KVCache(cfg, n, s_f, t)
+    split, projected = nn.split_heads, []
+
+    def spy_split(x, n_heads):
+        projected.append(x.shape[1])
+        return split(x, n_heads)
+
+    monkeypatch.setattr(nn, "split_heads", spy_split)
     for pos in range(t):
+        projected.clear()
         DEC.decode_step(ids[:, pos], pos, f, f_mask, params, cfg, cache)
         rows = s_f + pos + 1
+        # per layer: q, k, v of self-attention, q of cross-attention, then
+        # the cross-attention k and v of the memory rows this step adds
+        new = s_f + 1 if pos == 0 else 1
+        assert projected == [1, 1, 1, 1, new, new] * cfg.dec_layers
         for l in range(cfg.dec_layers):
             for cached, name in ((cache.mem_k[l], "w_k"), (cache.mem_v[l], "w_v")):
                 w = params[f"dec.layer{l}.ca.{name}"]
                 ref = nn.split_heads(T.matmul(memory[:, :rows], w), cfg.n_q).data
-                assert cached.shape[2] == rows
-                np.testing.assert_allclose(cached, ref, rtol=0, atol=1e-12)
-        earlier.append(cache.mem_k[0])
-    for pos, view in enumerate(earlier):   # rows already projected never change
-        np.testing.assert_array_equal(view, cache.mem_k[0][:, :, :s_f + pos + 1])
+                np.testing.assert_allclose(cached[:, :, :rows], ref, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["softmax", "sigmoid"])
@@ -259,38 +264,55 @@ def test_decode_step_builds_no_tensor(monkeypatch, dtype, mode):
 
 
 def test_cache_fills_its_buffers_in_place():
-    cfg, _ = _setup()
-    cache = DEC.KVCache(1, cfg.n_kv, cfg.head_dim, max_len=3)
-    steps = [RNG.normal(0, 1, (2, cfg.n_kv, 1, cfg.head_dim)) for _ in range(4)]
-    views = []
-    for k in steps[:3]:
-        cache.append(0, k, -k)
-        views.append(cache.k[0])
-    np.testing.assert_array_equal(views[-1], np.concatenate(steps[:3], axis=2))
-    np.testing.assert_array_equal(cache.v[0], -views[-1])
-    # three steps share one buffer; a fourth does not fit and raises
-    assert views[0].base is views[2].base
+    """The constructor allocates every buffer at its full size; decode steps
+    write into them in place and never change an entry written earlier, and
+    a step past ``max_len`` raises."""
+    cfg, params = _setup(dec_layers=2)
+    n, t = 2, 3
+    f, f_mask = _fused(cfg, n=n)
+    s_f = f.shape[1]
+    cache = DEC.KVCache(cfg, n, s_f, max_len=t)
+    assert cache.length == 0
+    assert [b.shape for b in cache.k + cache.v] == [(n, cfg.n_kv, t, cfg.head_dim)] * 4
+    assert ([b.shape for b in cache.mem_k + cache.mem_v]
+            == [(n, cfg.n_q, s_f + t, cfg.head_dim)] * 4)
+    bufs = cache.k + cache.v + cache.mem_k + cache.mem_v
+    ids = RNG.integers(0, cfg.vocab_size, (n, t + 1))
+    filled = []
+    for pos in range(t):
+        DEC.decode_step(ids[:, pos], pos, f, f_mask, params, cfg, cache)
+        filled.append([b[:, :, :pos + 1].copy() for b in cache.k + cache.v]
+                      + [b[:, :, :s_f + pos + 1].copy() for b in cache.mem_k + cache.mem_v])
     with pytest.raises(ValueError, match="full"):
-        cache.append(0, steps[3], -steps[3])
-    for t, view in enumerate(views):   # earlier views never change
-        np.testing.assert_array_equal(view, np.concatenate(steps[:t + 1], axis=2))
-    rows = RNG.normal(0, 1, (2, cfg.n_q, 7, cfg.head_dim))
-    for lo, hi in ((0, 5), (5, 6), (6, 7)):
-        cache.extend_memory(0, rows[:, :, lo:hi], rows[:, :, lo:hi])
-        assert cache.mem_k[0].base.shape[2] == 7
-    np.testing.assert_array_equal(cache.mem_k[0], rows)
-    with pytest.raises(ValueError, match="full"):
-        cache.extend_memory(0, rows[:, :, :1], rows[:, :, :1])
+        DEC.decode_step(ids[:, t], t, f, f_mask, params, cfg, cache)
+    assert cache.length == t
+    now = cache.k + cache.v + cache.mem_k + cache.mem_v
+    assert all(a is b for a, b in zip(now, bufs))
+    for copies in filled:   # entries written earlier never change
+        for buf, copy in zip(bufs, copies):
+            np.testing.assert_array_equal(buf[:, :, :copy.shape[2]], copy)
 
 
 def test_cache_rejects_changed_stream_count():
-    cfg, _ = _setup()
-    cache = DEC.KVCache(1, cfg.n_kv, cfg.head_dim, 2)
-    cache.append(0, np.zeros((2, cfg.n_kv, 1, cfg.head_dim)),
-                 np.zeros((2, cfg.n_kv, 1, cfg.head_dim)))
-    with pytest.raises(ValueError):
-        cache.append(0, np.zeros((3, cfg.n_kv, 1, cfg.head_dim)),
-                     np.zeros((3, cfg.n_kv, 1, cfg.head_dim)))
+    cfg, params = _setup()
+    f, f_mask = _fused(cfg, n=2)
+    cache = DEC.KVCache(cfg, 3, f.shape[1], 2)
+    with pytest.raises(ValueError, match="streams"):
+        DEC.decode_step(RNG.integers(0, cfg.vocab_size, 2), 0, f, f_mask, params, cfg, cache)
+    cache = DEC.KVCache(cfg, 2, f.shape[1], 2)
+    DEC.decode_step(RNG.integers(0, cfg.vocab_size, 2), 0, f, f_mask, params, cfg, cache)
+    with pytest.raises(ValueError, match="streams"):
+        DEC.decode_step(RNG.integers(0, cfg.vocab_size, 3), 1, f, f_mask, params, cfg, cache)
+    assert cache.length == 1
+
+
+def test_cache_rejects_other_fused_row_count():
+    cfg, params = _setup()
+    f, f_mask = _fused(cfg, n=2, rows=5)
+    cache = DEC.KVCache(cfg, 2, 6, 2)
+    with pytest.raises(ValueError, match="fused rows"):
+        DEC.decode_step(RNG.integers(0, cfg.vocab_size, 2), 0, f, f_mask, params, cfg, cache)
+    assert cache.length == 0
 
 
 # ---------------------------------------------------------------------

@@ -244,6 +244,7 @@ def test_float32_decode_stays_float32(monkeypatch):
     class SpyCache(DEC.KVCache):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.allocated = [*self.k, *self.v, *self.mem_k, *self.mem_v]
             caches.append(self)
 
     monkeypatch.setattr(Tensor, "__init__", spy_init)
@@ -256,11 +257,15 @@ def test_float32_decode_stays_float32(monkeypatch):
     assert made and set(made) == {np.dtype(np.float32)}
     assert len(logits) == 6 and {a.dtype for a in logits} == {np.dtype(np.float32)}
     (cache,) = caches
+    cfg = model.cfg
     bufs = [*cache.k, *cache.v, *cache.mem_k, *cache.mem_v]
-    assert len(bufs) == 4 * model.cfg.dec_layers
+    assert len(bufs) == 4 * cfg.dec_layers
     assert {b.dtype for b in bufs} == {np.dtype(np.float32)}
-    # all 6 steps ran, so each cache view spans its buffer: sized once, exactly
-    assert all(b.base.shape == b.shape for b in bufs)
+    # allocated once, by the constructor, at the size all 6 steps fill
+    assert all(a is b for a, b in zip(cache.allocated, bufs))
+    assert cache.length == 6
+    assert {b.shape for b in bufs} == {(8, cfg.n_kv, 6, cfg.head_dim),
+                                       (8, cfg.n_q, cache.s_f + 6, cfg.head_dim)}
 
 
 def test_generate_sampling_is_seeded():

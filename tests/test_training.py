@@ -162,16 +162,15 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     model, state, _, tc = _tiny_run(3)
     p1 = str(tmp_path / "a.ckpt")
     p2 = str(tmp_path / "b.ckpt")
-    TR.save_checkpoint(model, state, tc, p1, extra={"note": 1})
-    m2, s2, tc2, extra = TR.load_checkpoint(p1)
-    assert extra == {"note": 1}
+    TR.save_checkpoint(model, state, tc, p1)
+    m2, s2, tc2 = TR.load_checkpoint(p1)
     assert s2.step == state.step
     for name, p in model.params.items():
         np.testing.assert_array_equal(p.data, m2.params[name].data)
     for name in state.m:
         np.testing.assert_array_equal(state.m[name], s2.m[name])
         np.testing.assert_array_equal(state.v[name], s2.v[name])
-    TR.save_checkpoint(m2, s2, tc2, p2, extra={"note": 1})
+    TR.save_checkpoint(m2, s2, tc2, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
@@ -181,7 +180,7 @@ def test_resume_continues_the_loss_curve(tmp_path):
     model, state, _, tc = _tiny_run(3)
     p = str(tmp_path / "mid.ckpt")
     TR.save_checkpoint(model, state, tc, p)
-    m2, s2, _, _ = TR.load_checkpoint(p)
+    m2, s2, _ = TR.load_checkpoint(p)
     _, _, resumed, _ = _tiny_run(3, start_step=3, model=m2, state=s2)
     for a, b in zip(full[3:], resumed):
         assert b.l_total == pytest.approx(a.l_total, abs=1e-9)
@@ -193,7 +192,7 @@ def test_loaded_arrays_are_writable_aligned_and_separate(tmp_path):
     model, state, _, tc = _tiny_run(1)
     p = str(tmp_path / "w.ckpt")
     TR.save_checkpoint(model, state, tc, p)
-    m2, s2, _, _ = TR.load_checkpoint(p)
+    m2, s2, _ = TR.load_checkpoint(p)
     arrays = [q.data for q in m2.params.values()] + [*s2.m.values(), *s2.v.values()]
     assert len(arrays) == 3 * len(model.params)
     for a in arrays:
@@ -365,6 +364,23 @@ def test_checkpoint_malformed_body_raises_checkpoint_error(tmp_path, corrupt):
         TR.load_checkpoint(str(p))
 
 
+def test_checkpoint_with_an_old_extra_key_still_loads(tmp_path):
+    # files written before the metadata lost its unused "extra" key carry it
+    model, state, _, tc = _tiny_run(1)
+    p = tmp_path / "old.ckpt"
+    TR.save_checkpoint(model, state, tc, str(p))
+    body = _set_meta_value("extra", {"steps": 1})(p.read_bytes()[:-4])
+    assert b'"extra"' in body
+    p.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    m2, s2, _ = TR.load_checkpoint(str(p))
+    assert s2.step == state.step
+    for name, q in model.params.items():
+        np.testing.assert_array_equal(q.data, m2.params[name].data)
+    for name in state.m:
+        np.testing.assert_array_equal(state.m[name], s2.m[name])
+        np.testing.assert_array_equal(state.v[name], s2.v[name])
+
+
 def _truncation_cuts(body, n_records=3):
     """Body lengths that end at each field boundary of the header, the
     metadata and the first records, inside multi-byte fields, and in the
@@ -490,7 +506,7 @@ def test_float64_checkpoint_still_loads_as_float64(tmp_path):
     TR.save_checkpoint(model, state, tc, str(p))
     body = p.read_bytes()
     assert json.loads(body[12:_meta_end(body)])["config"]["dtype"] == "float64"
-    m2, s2, _, _ = TR.load_checkpoint(str(p))
+    m2, s2, _ = TR.load_checkpoint(str(p))
     f64 = np.dtype(np.float64)
     assert m2.cfg.dtype == "float64"
     assert {q.data.dtype for q in m2.params.values()} == {f64}
@@ -502,7 +518,7 @@ def test_float32_checkpoint_round_trip_bitwise(tmp_path):
     tc = TrainConfig(batch_size=4)
     p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
     TR.save_checkpoint(model, state, tc, p1)
-    m2, s2, tc2, _ = TR.load_checkpoint(p1)
+    m2, s2, tc2 = TR.load_checkpoint(p1)
     assert m2.cfg.dtype == "float32"
     for name, p in model.params.items():
         assert m2.params[name].data.dtype == np.float32
