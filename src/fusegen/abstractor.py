@@ -52,8 +52,6 @@ def bidirectional_cross_attention(
     rows, and symmetrically for l2v; the w_* are the attention weights.
     ``l_mask`` masks padded language keys.
     """
-    if v_p.shape[-1] != l_p.shape[-1]:
-        raise T.ShapeError(f"shared dims differ: {v_p.shape} vs {l_p.shape}")
     km = None if l_mask is None else np.asarray(l_mask, dtype=bool)[:, None, :]
     v2l, w_v2l = nn.attention(v_p, l_p, l_p, mode, km)
     l2v, w_l2v = nn.attention(l_p, v_p, v_p, mode)

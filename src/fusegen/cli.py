@@ -41,6 +41,18 @@ ABLATION_GRID = [
 DECODE_BATCH = 64
 
 
+def _in_range(cast, lo, hi=math.inf):
+    """An argparse ``type``: the flag cast by ``cast``, rejected with exit
+    status 2 unless lo <= value <= hi, before any subcommand runs."""
+    def parse(text: str):
+        value = cast(text)
+        if not lo <= value <= hi:    # also rejects NaN
+            raise argparse.ArgumentTypeError(f"{text!r} is not in [{lo}, {hi}]")
+        return value
+    parse.__name__ = cast.__name__   # argparse names the type in its errors
+    return parse
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     """The flags ``_resolve_configs`` reads: a config file and overrides."""
     p.add_argument("--config", help="JSON config file")
@@ -55,7 +67,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_run_flags(p: argparse.ArgumentParser, checkpoint: bool = True) -> None:
-    p.add_argument("--max-len", type=int, default=12)
+    p.add_argument("--max-len", type=_in_range(int, 1), default=12)
     p.add_argument("--out", default="runs/default")
     if checkpoint:
         p.add_argument("--checkpoint", help="checkpoint path (defaults under --out)")
@@ -256,12 +268,12 @@ def _parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="decode and score a checkpoint")
     _add_run_flags(p_eval)
     p_eval.add_argument("--split", choices=["train", "eval"], default="eval")
-    p_eval.add_argument("--keyword-dropout", type=float, default=0.0)
+    p_eval.add_argument("--keyword-dropout", type=_in_range(float, 0.0, 1.0), default=0.0)
 
     p_gen = sub.add_parser("generate", help="generate one report")
     _add_run_flags(p_gen)
     p_gen.add_argument("--sample-seed", type=int, default=0)
-    p_gen.add_argument("--sample-index", type=int, default=0)
+    p_gen.add_argument("--sample-index", type=_in_range(int, 0), default=0)
     p_gen.add_argument("--keywords")
     p_gen.add_argument("--mode", choices=["greedy", "sample"], default="greedy")
     p_gen.add_argument("--temperature", type=float, default=1.0)

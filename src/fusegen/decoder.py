@@ -80,10 +80,7 @@ def rope_apply(x: Tensor, start_pos: int = 0) -> Tensor:
     x: (..., S, head_dim) with even head_dim; position m = start_pos + row,
     pair k rotates by m * ROPE_BASE**(-2k/head_dim).
     """
-    hd = x.shape[-1]
-    if hd % 2 != 0:
-        raise ConfigError(f"head_dim must be even for rotary embeddings, got {hd}")
-    return T.rotate_pairs(x, *_rope_tables(start_pos, x.shape[-2], hd, x.data.dtype))
+    return T.rotate_pairs(x, *_rope_tables(start_pos, x.shape[-2], x.shape[-1], x.data.dtype))
 
 
 # ---------------------------------------------------------------------

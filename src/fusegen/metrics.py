@@ -17,7 +17,7 @@ from typing import List, Sequence
 
 EPS = 1e-9
 ROUGE_BETA_SQ = 1.2
-CIDER_MAX_N = 4
+MAX_N = 4   # BLEU-1..4 and CIDEr's n-gram orders
 
 
 @dataclass
@@ -50,27 +50,26 @@ def _check_pairs(hypotheses, references):
         raise ValueError("empty corpus")
 
 
-def bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence],
-         max_n: int = 4) -> List[float]:
-    """Corpus BLEU-1..max_n with BP = min(1, e^(1 - r/c))."""
+def bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence]) -> List[float]:
+    """Corpus BLEU-1..4 with BP = min(1, e^(1 - r/c))."""
     _check_pairs(hypotheses, references)
-    matches = [0] * max_n
-    totals = [0] * max_n
+    matches = [0] * MAX_N
+    totals = [0] * MAX_N
     hyp_len = ref_len = 0
     for hyp, ref in zip(hypotheses, references):
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
+        for n in range(1, MAX_N + 1):
             h = _ngrams(hyp, n)
             r = _ngrams(ref, n)
             matches[n - 1] += sum(min(c, r[g]) for g, c in h.items())
             totals[n - 1] += max(0, len(hyp) - n + 1)
     if hyp_len == 0:
-        return [0.0] * max_n
+        return [0.0] * MAX_N
     bp = min(1.0, math.exp(1.0 - ref_len / hyp_len))
     precisions = [(m / t) if t > 0 and m > 0 else EPS for m, t in zip(matches, totals)]
     scores = []
-    for k in range(1, max_n + 1):
+    for k in range(1, MAX_N + 1):
         log_mean = sum(math.log(p) for p in precisions[:k]) / k
         scores.append(bp * math.exp(log_mean))
     return scores
@@ -112,9 +111,9 @@ def cider(hypotheses: Sequence[Sequence], references: Sequence[Sequence]) -> flo
     n_refs = len(references)
     if len({tuple(r) for r in references}) < 2:
         warnings.warn("CIDEr IDF is degenerate with fewer than 2 distinct references")
-    doc_freq = [Counter() for _ in range(CIDER_MAX_N)]
+    doc_freq = [Counter() for _ in range(MAX_N)]
     for ref in references:
-        for n in range(1, CIDER_MAX_N + 1):
+        for n in range(1, MAX_N + 1):
             doc_freq[n - 1].update(set(_ngrams(ref, n)))
 
     def tfidf(seq, n):
@@ -125,7 +124,7 @@ def cider(hypotheses: Sequence[Sequence], references: Sequence[Sequence]) -> flo
     total = 0.0
     for hyp, ref in zip(hypotheses, references):
         pair = 0.0
-        for n in range(1, CIDER_MAX_N + 1):
+        for n in range(1, MAX_N + 1):
             vh = tfidf(hyp, n)
             vr = tfidf(ref, n)
             dot = sum(vh[g] * vr[g] for g in vh if g in vr)
@@ -133,7 +132,7 @@ def cider(hypotheses: Sequence[Sequence], references: Sequence[Sequence]) -> flo
             nr = math.sqrt(sum(x * x for x in vr.values()))
             if nh > 0 and nr > 0:
                 pair += dot / (nh * nr)
-        total += pair / CIDER_MAX_N
+        total += pair / MAX_N
     return 10.0 * total / len(hypotheses)
 
 

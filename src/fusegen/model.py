@@ -62,9 +62,6 @@ class ReportModel:
         self.params = params
 
     # -- parameter plumbing -------------------------------------------
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None

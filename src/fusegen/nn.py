@@ -95,9 +95,7 @@ def mha(
     ``key_mask``: (N, S) boolean, True = valid position. Masked positions get
     -inf logits under softmax and exactly zero weight under sigmoid.
     """
-    n, s, d = x.shape
-    if d % n_heads != 0:
-        raise T.ShapeError(f"model dim {d} not divisible by {n_heads} heads")
+    s = x.shape[1]
     if key_mask is not None and np.asarray(key_mask).shape[-1] != s:
         raise T.ShapeError(f"mask length {np.asarray(key_mask).shape[-1]} != sequence length {s}")
     q = split_heads(linear(x, params["w_q"]), n_heads)

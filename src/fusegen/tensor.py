@@ -3,11 +3,12 @@
 Tensors wrap row-major numpy arrays and record local-gradient closures on an
 implicit tape as ops execute. A tensor's dtype is its data's: float32 data
 stays float32, anything else becomes float64, and Python-scalar operands take
-the dtype of the tensor they meet, so a float32 graph stays float32.
-``backward`` replays the tape in reverse topological order, accumulating
-gradients over fan-out. The tape is single-use: a second ``backward`` on the
-same graph raises. Inside ``no_grad()`` ops record nothing, which is how
-inference runs.
+the dtype of the tensor they meet, so a float32 graph stays float32. The
+operators are ``+``, ``*``, unary ``-`` and indexing; every other op is a
+function of this module. ``backward`` replays the tape in reverse
+topological order, accumulating gradients over fan-out. The tape is
+single-use: a second ``backward`` on the same graph raises. Inside
+``no_grad()`` ops record nothing, which is how inference runs.
 """
 
 from __future__ import annotations
@@ -69,8 +70,6 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_children", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False, _children: tuple = ()):
-        if isinstance(data, Tensor):
-            data = data.data
         if type(data) is not np.ndarray or data.dtype not in _FLOAT_DTYPES:
             data = np.asarray(data)
             if data.dtype != np.float32:
@@ -135,32 +134,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other, self))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other, self))
 
-    def __rmul__(self, other):
-        return mul(_as_tensor(other, self), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other, self))
-
     def __neg__(self):
         return mul(self, _as_tensor(-1.0, self))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other, self))
-
-    def __pow__(self, p):
-        return pow_const(self, float(p))
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -173,14 +151,10 @@ class Tensor:
         return mean_(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return reshape(self, shape)
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes or None)
+        return transpose(self, axes)
 
     def swapaxes(self, a, b):
         axes = list(range(self.ndim))
@@ -254,18 +228,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g, b.shape))
-
-    return _make(data, (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
@@ -274,18 +236,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             a._accum(_unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
             b._accum(_unbroadcast(g * a.data, b.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make(data, (a, b), backward)
 
@@ -425,15 +375,11 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
+def transpose(a: Tensor, axes) -> Tensor:
     data = a.data.transpose(axes)
 
     def backward(g):
-        if axes is None:
-            a._accum(g.transpose())
-        else:
-            inv = np.argsort(axes)
-            a._accum(g.transpose(inv))
+        a._accum(g.transpose(np.argsort(axes)))
 
     return _make(data, (a,), backward)
 

@@ -1,7 +1,8 @@
 """Composed-op reference forms of the fused tensor ops.
 
 Each oracle builds the op from primitive tape nodes, the way the library did
-before the op became a single node with a closed-form backward. The fused
+before the op became a single node with a closed-form backward, from ``add``,
+``mul`` and unary ``-`` (``a + -b`` rounds exactly like ``a - b``). The fused
 forward passes of ``rms_norm``, ``layer_norm`` and ``rope_apply`` run the same
 arithmetic in the same order, so they match these oracles bit for bit;
 ``log_softmax`` matches ``log(softmax_rows(x))`` wherever the latter is finite.
@@ -20,7 +21,7 @@ def composed_rms_norm(x, gain, eps=1e-5):
 
 def composed_layer_norm(x, gain, bias, eps=1e-5):
     mu = T.mean_(x, axis=-1, keepdims=True)
-    xc = T.sub(x, mu)
+    xc = T.add(x, -mu)
     var = T.mean_(T.mul(xc, xc), axis=-1, keepdims=True)
     inv = T.pow_const(T.add(var, T._as_tensor(eps, x)), -0.5)
     return T.add(T.mul(T.mul(xc, inv), gain), bias)
@@ -35,8 +36,8 @@ def composed_rope(x, start_pos=0):
                 for t in DEC._rope_tables(start_pos, x.shape[-2], x.shape[-1]))
     xr = x[..., 0::2]
     xi = x[..., 1::2]
-    out_r = xr * cos - xi * sin
+    out_r = xr * cos + -(xi * sin)
     out_i = xr * sin + xi * cos
     pair_shape = out_r.shape + (1,)
-    stacked = T.concat([out_r.reshape(pair_shape), out_i.reshape(pair_shape)], axis=-1)
-    return stacked.reshape(x.shape)
+    stacked = T.concat([out_r.reshape(*pair_shape), out_i.reshape(*pair_shape)], axis=-1)
+    return stacked.reshape(*x.shape)

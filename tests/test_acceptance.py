@@ -84,7 +84,7 @@ def _bleu4_via_cmd_eval(ckpt, capsys):
 def test_criterion_1_gradient_integrity(capsys):
     t0 = time.monotonic()
     cfg = toy_config()
-    n_params = ReportModel(cfg).n_parameters()
+    n_params = sum(p.size for p in ReportModel(cfg).params.values())
     results = run_all_checks("softmax", seed=0)
     elapsed = time.monotonic() - t0
     # seven module checks, then float64 and float32 end-to-end, each group

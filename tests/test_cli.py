@@ -104,6 +104,25 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--max-len", "0"],
+    ["eval", "--max-len", "0"],
+    ["generate", "--max-len", "-3"],
+    ["ablate", "--max-len", "0"],
+    ["generate", "--sample-index", "-1"],
+    ["eval", "--keyword-dropout", "-1"],
+    ["eval", "--keyword-dropout", "1.5"],
+    ["eval", "--keyword-dropout", "nan"],
+], ids=" ".join)
+def test_out_of_range_run_flags_exit_2_before_any_work(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_training_set_is_a_config_error(tmp_path, capsys):
     path = str(tmp_path / "zero.json")
     json.dump({"n_train": 0}, open(path, "w"))

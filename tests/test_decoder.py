@@ -75,11 +75,6 @@ def test_rope_cached_tables_match_formula_bitwise(shape, start):
         np.testing.assert_array_equal(DEC.rope_apply(Tensor(x), start).data, ref)
 
 
-def test_rope_odd_head_dim_rejected():
-    with pytest.raises(ConfigError):
-        DEC.rope_apply(Tensor(np.zeros((1, 2, 7))))
-
-
 # ---------------------------------------------------------------------
 # grouped-query attention
 # ---------------------------------------------------------------------
