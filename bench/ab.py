@@ -3,13 +3,15 @@
     OPENBLAS_NUM_THREADS=1 python3 bench/ab.py PARENT_TREE CHANGE_TREE
 
 Each tree's ``src/fusegen`` is imported as its own package, so both run in one
-process under the same machine state. Each of ROUNDS rounds times a block of
-BLOCK float32 train steps on the criterion-6 configuration (batch 32, max_len
-10) and a block of BLOCK batch-1 ``generate`` calls (untrained model, 12 steps)
-on each tree, and alternates which tree goes first. Per workload it prints the
-median and IQR of the per-round change/parent block-time ratio, the rounds the
-change won, and each tree's p10 and p50 per operation. The same tree twice is
-an A/A run.
+process under the same machine state. The workloads are float32 train steps
+on the criterion-6 configuration (batch 32, max_len 10), batch-1 ``generate``
+calls (untrained model, 12 steps) and ``eval`` operations
+(``cli._decode_corpus`` plus ``metrics.score_corpus`` over 64 train samples on
+the same model, max_len 12). For each workload in turn, each of ROUNDS rounds
+times a block of BLOCK operations on each tree and alternates which tree goes
+first. Per workload it prints the median and IQR of the per-round
+change/parent block-time ratio, the rounds the change won, and each tree's p10
+and p50 per operation. The same tree twice is an A/A run.
 """
 
 import argparse
@@ -35,7 +37,8 @@ def load(tree: str, name: str):
 
 
 def workloads(fg, seed: int = 0) -> dict:
-    D, TR = (importlib.import_module(f"{fg.__name__}.{m}") for m in ("data", "training"))
+    D, TR, CLI, M = (importlib.import_module(f"{fg.__name__}.{m}")
+                     for m in ("data", "training", "cli", "metrics"))
     vocab, samples = D.default_vocab(), D.synth_generate(200, seed=seed)
     model = fg.ReportModel(fg.ModelConfig(vocab_size=32, seed=seed))
     tc = fg.TrainConfig(batch_size=32, lr=1e-4, scheduler="constant", lambda_align=0.5,
@@ -54,7 +57,10 @@ def workloads(fg, seed: int = 0) -> dict:
         gen_model.generate(samples[0].image[None], ids[None], mask[None], vocab.bos_id,
                            vocab.eos_id, 12)
 
-    return {"train": train, "generate": generate}
+    def evaluate():
+        M.score_corpus(*CLI._decode_corpus(gen_model, samples[:64], vocab, 12))
+
+    return {"train": train, "generate": generate, "eval": evaluate}
 
 
 def block(op, n: int) -> list:

@@ -81,6 +81,4 @@ def info_nce(f_emb: Tensor, r_emb: Tensor, tau: Tensor) -> Tensor:
     n = f_emb.shape[0]
     sim = T.matmul(f_emb, r_emb.swapaxes(-1, -2))
     logits = sim * T.pow_const(tau, -1.0)
-    logp = T.log_softmax(logits)
-    diag = np.arange(n)
-    return -logp[diag, diag].mean()
+    return T.nll(logits, np.arange(n), np.ones(n, bool)) * (1.0 / n)

@@ -276,7 +276,7 @@ def _parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--sample-index", type=_in_range(int, 0), default=0)
     p_gen.add_argument("--keywords")
     p_gen.add_argument("--mode", choices=["greedy", "sample"], default="greedy")
-    p_gen.add_argument("--temperature", type=float, default=1.0)
+    p_gen.add_argument("--temperature", type=_in_range(float, 0.0), default=1.0)
 
     p_gc = sub.add_parser("grad-check", help="finite-difference verification")
     p_gc.add_argument("--attn", choices=["softmax", "sigmoid"], default="softmax")

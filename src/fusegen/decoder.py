@@ -291,9 +291,6 @@ def cross_entropy(logits: Tensor, target_ids: np.ndarray, mask: np.ndarray):
     vocab = logits.shape[-1]
     if targets.max() >= vocab or targets.min() < 0:
         raise IndexError(f"target id out of range for vocab {vocab}")
-    logp = T.log_softmax(logits)
-    ni, ti = np.nonzero(np.asarray(mask, dtype=bool))
-    nll = -logp[ni, ti, targets[ni, ti]]
-    total = nll.sum()
-    per_token = total * (1.0 / max(1, len(ni)))
+    total = T.nll(logits, targets, mask)
+    per_token = total * (1.0 / max(1, np.count_nonzero(mask)))
     return total, per_token

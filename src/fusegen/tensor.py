@@ -4,8 +4,10 @@ Tensors wrap row-major numpy arrays and record local-gradient closures on an
 implicit tape as ops execute. A tensor's dtype is its data's: float32 data
 stays float32, anything else becomes float64, and Python-scalar operands take
 the dtype of the tensor they meet, so a float32 graph stays float32. The
-operators are ``+``, ``*``, unary ``-`` and indexing; every other op is a
-function of this module. ``backward`` replays the tape in reverse
+operators are ``+``, ``*``, unary ``-`` and basic indexing (ints, slices,
+``...``); every other op is a function of this module. ``softmax_rows``,
+``nll``, ``layer_norm``, ``rms_norm`` and ``rotate_pairs`` are fused: one node
+each, with a closed-form backward. ``backward`` replays the tape in reverse
 topological order, accumulating gradients over fan-out. The tape is
 single-use: a second ``backward`` on the same graph raises. Inside
 ``no_grad()`` ops record nothing, which is how inference runs.
@@ -30,7 +32,7 @@ __all__ = [
     "gelu",
     "silu",
     "softmax_rows",
-    "log_softmax",
+    "nll",
     "layer_norm",
     "rms_norm",
     "rotate_pairs",
@@ -146,9 +148,6 @@ class Tensor:
     # method aliases used all over the model code
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean_(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         return reshape(self, shape)
@@ -360,12 +359,6 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    total = sum_(a, axis=axis, keepdims=keepdims)
-    # m / (m * n) rounds to the same float as 1 / n
-    return mul(total, _as_tensor(total.size / a.size, a))
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
 
@@ -401,16 +394,16 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def getitem(a: Tensor, idx) -> Tensor:
+    # basic indices only: they hit each element at most once, so the backward
+    # can assign (an array index would drop the grads of repeated indices)
+    if not all(type(i) in (int, slice) or i is Ellipsis
+               for i in (idx if type(idx) is tuple else (idx,))):
+        raise TypeError(f"Tensor indexing takes ints, slices and ..., got {idx!r}")
     data = a.data[idx]
-    basic = all(type(i) in (int, slice) or i is Ellipsis
-                for i in (idx if type(idx) is tuple else (idx,)))
 
     def backward(g):
         full = np.zeros_like(a.data)
-        if basic:
-            full[idx] = g   # a basic index hits each element at most once
-        else:
-            np.add.at(full, idx, g)
+        full[idx] = g
         a._accum(full)
 
     return _make(data, (a,), backward)
@@ -483,21 +476,29 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _make(s, (x,), backward)
 
 
-def log_softmax(x: Tensor) -> Tensor:
-    """log(softmax(x)) over the trailing axis as one log-sum-exp node.
+def nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Summed negative log-likelihood of integer ``targets`` under the
+    trailing-axis log-softmax of ``logits``, over the positions where boolean
+    ``mask`` (``logits.shape[:-1]``) is True, as one log-sum-exp node.
 
-    Finite for any finite input, however large the gap between entries.
-    -inf entries stay -inf; NaN or +inf inputs and rows of only -inf raise
-    NonFiniteError.
+    Finite for any finite input, however large the gap between entries;
+    NaN or +inf inputs and rows of only -inf raise NonFiniteError.
     """
-    d = x.data
-    z = d - _row_max(d, "log_softmax")
-    out = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    d = logits.data
+    z = d - _row_max(d, "nll")
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    mask = np.asarray(mask, dtype=bool)
+    rows = np.nonzero(mask)
+    picked = rows + (targets[rows],)
 
     def backward(g):
-        x._accum(g - np.exp(out) * g.sum(axis=-1, keepdims=True))
+        # softmax * g, then minus g at the targets: this order rounds like the
+        # composed log-softmax chain, and g * (softmax - onehot) does not
+        grad = np.exp(logp) * (g * mask[..., None])
+        grad[picked] -= g
+        logits._accum(grad)
 
-    return _make(out, (x,), backward)
+    return _make((-logp[picked]).sum(), (logits,), backward)
 
 
 _NORM_EPS = 1e-5   # the default eps of layer_norm and rms_norm

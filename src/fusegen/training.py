@@ -133,8 +133,7 @@ def run_training(model: ReportModel, samples: Sequence[SyntheticSample],
 
 MAGIC = b"DRMC"
 VERSION = 1
-_DTYPE_TAGS = {np.dtype(np.float64): 0, np.dtype(np.float32): 1,
-               np.dtype(np.int64): 2}
+_DTYPE_TAGS = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
 

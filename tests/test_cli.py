@@ -113,6 +113,8 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
     ["eval", "--keyword-dropout", "-1"],
     ["eval", "--keyword-dropout", "1.5"],
     ["eval", "--keyword-dropout", "nan"],
+    ["generate", "--temperature", "-1"],
+    ["generate", "--temperature", "nan"],
 ], ids=" ".join)
 def test_out_of_range_run_flags_exit_2_before_any_work(argv, tmp_path, capsys):
     out = tmp_path / "o"

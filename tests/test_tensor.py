@@ -9,7 +9,7 @@ import functools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from op_oracles import composed_layer_norm, composed_log_softmax, composed_rms_norm, composed_rope
+from op_oracles import composed_layer_norm, composed_nll, composed_rms_norm, composed_rope
 
 from fusegen import decoder as DEC
 from fusegen import tensor as T
@@ -39,7 +39,7 @@ _B = Tensor(RNG.normal(0, 1, (3, 4)))
     lambda x: T.gelu(x).sum(),
     lambda x: T.silu(x).sum(),
     lambda x: T.pow_const(x * x + 1.0, 1.7).sum(),
-])
+], ids=["add", "mul", "exp", "sigmoid", "gelu", "silu", "pow_const"])
 def test_elementwise_grads(op):
     assert _gc(op, RNG.normal(0, 1, (3, 4))) < TOL
 
@@ -89,8 +89,6 @@ def test_sum_mean_axes():
     x = RNG.normal(0, 1, (2, 3, 4))
     r = Tensor(RNG.normal(0, 1, (2, 4)))
     assert _gc(lambda t: (t.sum(axis=1) * r).sum(), x) < TOL
-    assert _gc(lambda t: (t.mean(axis=1) * r).sum(), x) < TOL
-    np.testing.assert_allclose(Tensor(x).mean(axis=(0, 2)).data, x.mean(axis=(0, 2)))
 
 
 def test_reshape_transpose_grads():
@@ -111,8 +109,7 @@ def test_concat_grad():
     np.testing.assert_allclose(b.grad, r[:, 2:])
 
 
-@pytest.mark.parametrize("idx", [np.s_[1:3], np.s_[..., 1], np.s_[2], np.s_[::2, 1:],
-                                 np.s_[[0, 2, 0]], np.s_[np.array([3, 1]), 1:]])
+@pytest.mark.parametrize("idx", [np.s_[1:3], np.s_[..., 1], np.s_[2], np.s_[::2, 1:]])
 def test_getitem_grad_matches_add_at(idx):
     x = Tensor(RNG.normal(0, 1, (4, 3)), requires_grad=True)
     r = RNG.normal(0, 1, x.data[idx].shape)
@@ -122,15 +119,12 @@ def test_getitem_grad_matches_add_at(idx):
     np.testing.assert_array_equal(x.grad, expect)
 
 
-def test_getitem_fancy_index_accumulates():
-    # repeated indices must sum their gradients
+def test_getitem_rejects_array_index():
+    # the backward assigns, which would drop a repeated index's second share
     x = Tensor(RNG.normal(0, 1, (4, 3)), requires_grad=True)
-    idx = np.array([1, 1, 2])
-    x[idx].sum().backward()
-    expect = np.zeros((4, 3))
-    expect[1] = 2.0
-    expect[2] = 1.0
-    np.testing.assert_allclose(x.grad, expect)
+    for idx in (np.array([1, 1, 2]), np.s_[[0, 2, 0]], np.s_[np.array([3, 1]), 1:]):
+        with pytest.raises(TypeError, match="ints, slices"):
+            x[idx]
 
 
 def test_embedding_lookup_and_grad():
@@ -179,7 +173,7 @@ def test_fully_masked_row_raises_instead_of_nan():
     with pytest.raises(NonFiniteError, match="all -inf"):
         T.softmax_rows(Tensor(rows))
     with pytest.raises(NonFiniteError, match="all -inf"):
-        T.log_softmax(Tensor(np.array([[-np.inf, -np.inf]])))
+        T.nll(Tensor(np.array([[-np.inf, -np.inf]])), np.array([0]), np.array([True]))
 
 
 def test_softmax_grad():
@@ -208,22 +202,24 @@ def test_rms_norm_matches_numpy_and_grad():
     assert _gc(lambda t: (T.rms_norm(t, g) * r).sum(), x) < TOL
 
 
-def test_log_softmax_stays_finite_at_large_gaps():
+def test_nll_stays_finite_at_large_gaps():
     x = Tensor(np.array([[0.0, 800.0, 0.0], [-np.inf, 1.0, 2.0]]), requires_grad=True)
-    out = T.log_softmax(x)
-    np.testing.assert_allclose(out.data[0], [-800.0, 0.0, -800.0])
-    assert out.data[1, 0] == -np.inf
-    np.testing.assert_allclose(np.exp(out.data).sum(axis=-1), 1.0)
-    (out[0, 0] + out[1, 2]).backward()
+    out = T.nll(x, np.array([0, 2]), np.array([True, True]))
+    assert out.item() == pytest.approx(800.0 + np.log1p(np.exp(-1.0)))
+    out.backward()
     assert np.isfinite(x.grad).all()
+    s = 1.0 / (1.0 + np.e)       # softmax minus the one-hot; -inf gets no weight
+    np.testing.assert_allclose(x.grad, [[-1.0, 1.0, 0.0], [0.0, s, -s]], rtol=1e-12)
     with pytest.raises(NonFiniteError):
-        T.log_softmax(Tensor(np.array([0.0, np.nan])))
+        T.nll(Tensor(np.array([0.0, np.nan])), np.array(0), np.array(True))
 
 
 # ---------------------------------------------------------------------
 # fused ops against the composed forms they replace
 # ---------------------------------------------------------------------
 
+_NLL_TARGETS = np.random.default_rng(1).integers(0, 6, (2, 3, 5))
+_NLL_MASK = np.random.default_rng(2).random((2, 3, 5)) < 0.7
 _FUSED = {
     # name: (fused op, composed oracle, parameter shapes)
     "rms_norm": (lambda x, p: T.rms_norm(x, p["g"]),
@@ -232,8 +228,8 @@ _FUSED = {
                    lambda x, p: composed_layer_norm(x, p["g"], p["b"]), {"g": (6,), "b": (6,)}),
     "rope_apply": (lambda x, p: DEC.rope_apply(x, 3),
                    lambda x, p: composed_rope(x, 3), {}),
-    "log_softmax": (lambda x, p: T.log_softmax(x),
-                    lambda x, p: composed_log_softmax(x), {}),
+    "nll": (lambda x, p: T.nll(x, _NLL_TARGETS, _NLL_MASK),
+            lambda x, p: composed_nll(x, _NLL_TARGETS, _NLL_MASK), {}),
 }
 _BITWISE = {"rms_norm", "layer_norm", "rope_apply"}
 
@@ -346,8 +342,7 @@ def test_scalar_operands_take_the_tensor_dtype():
     for dtype in (np.float32, np.float64):
         x = Tensor(np.array([[1.0, -2.0, 3.0]], dtype=dtype), requires_grad=True)
         g = Tensor(np.ones(3, dtype=dtype))
-        outs = [x + 1.0, x * 2.0, -x, x.mean(),
-                x + np.ones(3), T.layer_norm(x, g, g), T.rms_norm(x, g)]
+        outs = [x + 1.0, x * 2.0, -x, x + np.ones(3), T.layer_norm(x, g, g), T.rms_norm(x, g)]
         assert {o.data.dtype for o in outs} == {np.dtype(dtype)}
         functools.reduce(T.add, (o.sum() for o in outs)).backward()
         assert x.grad.dtype == dtype

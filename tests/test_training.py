@@ -277,10 +277,12 @@ def _drop_meta_key(key):
     return corrupt
 
 
-def _unknown_dtype_tag(body):
-    first = _meta_end(body) + 4
-    tag_at = first + 4 + struct.unpack_from("<I", body, first)[0]
-    return body[:tag_at] + bytes([9]) + body[tag_at + 1:]
+def _set_dtype_tag(tag):
+    def corrupt(body):
+        first = _meta_end(body) + 4
+        tag_at = first + 4 + struct.unpack_from("<I", body, first)[0]
+        return body[:tag_at] + bytes([tag]) + body[tag_at + 1:]
+    return corrupt
 
 
 def _set_config_value(key, value):
@@ -333,7 +335,7 @@ def _drop_record(name):
 
 
 @pytest.mark.parametrize("corrupt", [
-    _unknown_dtype_tag,
+    _set_dtype_tag(9),
     _with_meta(b"not json"),
     _with_meta(b"\xff\xfe"),
     _with_meta(b"[1, 2]"),
@@ -361,6 +363,17 @@ def test_checkpoint_malformed_body_raises_checkpoint_error(tmp_path, corrupt):
     body = corrupt(p.read_bytes()[:-4])
     p.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
     with pytest.raises(TR.CheckpointError):
+        TR.load_checkpoint(str(p))
+
+
+def test_checkpoint_int64_dtype_tag_is_unknown(tmp_path):
+    # tag 2 once meant int64, which no writer produces and no layout holds
+    model, state, _, tc = _tiny_run(1)
+    p = tmp_path / "i.ckpt"
+    TR.save_checkpoint(model, state, tc, str(p))
+    body = _set_dtype_tag(2)(p.read_bytes()[:-4])
+    p.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    with pytest.raises(TR.CheckpointError, match="unknown dtype tag 2"):
         TR.load_checkpoint(str(p))
 
 
@@ -483,7 +496,7 @@ def test_float32_model_stays_float32():
     batch = D.make_batch(D.synth_generate(4, seed=3, side=cfg.image_side),
                          D.default_vocab(), cfg.s_l, 10)
     nodes = _tape_nodes(model.losses(batch, 0.5).total)
-    assert len(nodes) == 289   # the whole losses graph of the toy model
+    assert len(nodes) == 281   # the whole losses graph of the toy model
     assert {n.data.dtype for n in nodes} == {f32}
     _, state, _, _ = _warmup_cosine_run("float32", 3, model=model)
     assert {p.data.dtype for p in model.params.values()} == {f32}
