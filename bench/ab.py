@@ -11,7 +11,10 @@ the same model, max_len 12). For each workload in turn, each of ROUNDS rounds
 times a block of BLOCK operations on each tree and alternates which tree goes
 first. Per workload it prints the median and IQR of the per-round
 change/parent block-time ratio, the rounds the change won, and each tree's p10
-and p50 per operation. The same tree twice is an A/A run.
+and p50 per operation. The same tree twice is an A/A run. Last, each tree runs
+one untimed train step under tracemalloc, and the script prints the MB its
+forward leaves live and the peak MB during its backward, both above the
+traced memory before the step.
 """
 
 import argparse
@@ -20,6 +23,7 @@ import importlib.util
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -60,7 +64,22 @@ def workloads(fg, seed: int = 0) -> dict:
     def evaluate():
         M.score_corpus(*CLI._decode_corpus(gen_model, samples[:64], vocab, 12))
 
-    return {"train": train, "generate": generate, "eval": evaluate}
+    def train_memory():
+        idx = TR.batch_indices(seed, run["step"], len(samples), tc.batch_size)
+        batch = D.make_batch([samples[i] for i in idx], vocab, model.cfg.s_l, 10)
+        model.zero_grad()
+        tracemalloc.start()
+        try:
+            report = model.losses(batch, tc.lambda_align)
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report.total.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return live / 2**20, peak / 2**20
+
+    return {"train": train, "generate": generate, "eval": evaluate}, train_memory
 
 
 def block(op, n: int) -> list:
@@ -77,8 +96,8 @@ def main() -> None:
     ap.add_argument("parent")
     ap.add_argument("change")
     args = ap.parse_args()
-    trees = [workloads(load(args.parent, "fusegen_parent")),
-             workloads(load(args.change, "fusegen_change"))]
+    trees, memory = zip(workloads(load(args.parent, "fusegen_parent")),
+                        workloads(load(args.change, "fusegen_change")))
     for name in trees[0]:
         for t in trees:
             block(t[name], BLOCK)                       # warm-up
@@ -95,6 +114,9 @@ def main() -> None:
         print(f"{name}: change/parent median {med:.3f} IQR {q3 - q1:.3f}, change faster in "
               f"{sum(x < 1 for x in ratios)}/{ROUNDS} rounds; ms p10/p50 parent "
               f"{p10_p50[0][0]:.2f}/{p10_p50[0][1]:.2f}, change {p10_p50[1][0]:.2f}/{p10_p50[1][1]:.2f}")
+    (live_a, peak_a), (live_b, peak_b) = (probe() for probe in memory)
+    print(f"train step traced MB, forward-live/backward-peak: parent {live_a:.1f}/{peak_a:.1f}, "
+          f"change {live_b:.1f}/{peak_b:.1f}")
 
 
 if __name__ == "__main__":

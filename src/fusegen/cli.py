@@ -136,7 +136,7 @@ def cmd_train(args) -> int:
         for epoch in range(train_cfg.epochs):
             part = hist[epoch * steps_per_epoch:(epoch + 1) * steps_per_epoch]
             rec = {"epoch": epoch, "step": (epoch + 1) * steps_per_epoch}
-            for key in ("l_ce", "l_ce_per_token", "l_align", "l_total"):
+            for key in ("l_ce", "l_ce_per_token", "l_align", "l_total", "grad_norm"):
                 rec[key] = sum(getattr(h, key) for h in part) / len(part)
             log.write(json.dumps(rec, sort_keys=True) + "\n")
             print(f"epoch {epoch}: L_total={rec['l_total']:.4f} "

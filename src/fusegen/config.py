@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -113,10 +114,11 @@ class TrainConfig:
     n_eval: int = 64
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.lambda_align < 0:
-            raise ConfigError(f"lambda_align must be >= 0, got {self.lambda_align}")
+        # the chained comparisons also reject NaN
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.lambda_align < math.inf:
+            raise ConfigError(f"lambda_align must be >= 0 and finite, got {self.lambda_align}")
         if self.scheduler not in ("warmup_cosine", "constant"):
             raise ConfigError(f"unknown scheduler {self.scheduler!r}")
         _at_least(self, 1, ("batch_size", "n_train", "n_eval"))

@@ -8,8 +8,9 @@ operators are ``+``, ``*``, unary ``-`` and basic indexing (ints, slices,
 ``...``); every other op is a function of this module. ``softmax_rows``,
 ``nll``, ``layer_norm``, ``rms_norm`` and ``rotate_pairs`` are fused: one node
 each, with a closed-form backward. ``backward`` replays the tape in reverse
-topological order, accumulating gradients over fan-out. The tape is
-single-use: a second ``backward`` on the same graph raises. Inside
+topological order, accumulating gradients over fan-out, and frees each node
+as soon as its closure has run. The tape is single-use: a second
+``backward`` on the same graph raises. Inside
 ``no_grad()`` ops record nothing, which is how inference runs.
 """
 
@@ -124,7 +125,11 @@ class Tensor:
         self._consumed = True
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        # popping frees each node (data, grad, closure) once its closure has
+        # run, unless the caller holds it: the only other holders, its
+        # parents' closures and _children, were dropped when those parents ran
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 if node.grad is None:
                     node.grad = np.zeros_like(node.data)

@@ -152,22 +152,26 @@ def _tensor_record(name: str, arr: np.ndarray) -> bytes:
 
 def save_checkpoint(model: ReportModel, state: AdamState,
                     train_cfg: TrainConfig, path: str) -> None:
+    """Write the file one chunk at a time (the header, then each tensor
+    record), folding every chunk into the CRC as it goes, so no more than
+    one record is held in memory."""
     cfg_blob = json.dumps({
         "config": config_to_dict(model.cfg, train_cfg),
         "adam_step": state.step,
     }, sort_keys=True).encode("utf-8")
-    body = MAGIC + struct.pack("<I", VERSION)
-    body += struct.pack("<I", len(cfg_blob)) + cfg_blob
-    records = []
-    for name, p in sorted(model.params.items()):
-        records.append(_tensor_record(name, p.data))
+    arrays = [(name, p.data) for name, p in sorted(model.params.items())]
     for name in sorted(state.m):
-        records.append(_tensor_record(f"adam.m.{name}", state.m[name]))
-        records.append(_tensor_record(f"adam.v.{name}", state.v[name]))
-    body += struct.pack("<I", len(records)) + b"".join(records)
-    crc = zlib.crc32(body) & 0xFFFFFFFF
+        arrays += [(f"adam.m.{name}", state.m[name]), (f"adam.v.{name}", state.v[name])]
+    header = (MAGIC + struct.pack("<II", VERSION, len(cfg_blob)) + cfg_blob
+              + struct.pack("<I", len(arrays)))
     with open(path, "wb") as fh:
-        fh.write(body + struct.pack("<I", crc))
+        fh.write(header)
+        crc = zlib.crc32(header)
+        for name, arr in arrays:
+            record = _tensor_record(name, arr)
+            fh.write(record)
+            crc = zlib.crc32(record, crc)
+        fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
 
 def _end(buf: memoryview, end: int) -> int:

@@ -125,6 +125,45 @@ def test_out_of_range_run_flags_exit_2_before_any_work(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--lr", "nan"],
+    ["--lr", "inf"],
+    ["--lambda", "nan"],
+    ["--lambda", "inf"],
+    ["--config", "nan-lr.json"],
+], ids=" ".join)
+def test_non_finite_lr_or_lambda_exits_2_before_any_write(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with open("nan-lr.json", "w") as fh:
+        json.dump({"lr": float("nan")}, fh)    # json writes the bare token NaN
+    out = tmp_path / "o"
+    assert cli.main(["train", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "finite" in err
+    assert not out.exists()
+
+
+def test_metrics_hold_the_epoch_mean_grad_norm(tmp_path, monkeypatch):
+    cfg_path = _toy_config_file(tmp_path)
+    runs = []
+    real_run = TR.run_training
+
+    def spy(*args, **kwargs):
+        state, hist = real_run(*args, **kwargs)
+        runs.append(hist)
+        return state, hist
+
+    monkeypatch.setattr(TR, "run_training", spy)
+    out = str(tmp_path / "run")
+    assert cli.main(["train", "--config", cfg_path, "--out", out]) == 0
+    [hist] = runs
+    records = [json.loads(l) for l in open(os.path.join(out, "metrics.jsonl"))]
+    assert len(records) == 2 and len(hist) == 4
+    for rec, part in zip(records, (hist[:2], hist[2:])):
+        assert rec["grad_norm"] == (part[0].grad_norm + part[1].grad_norm) / 2
+        assert rec["grad_norm"] > 0
+
+
 def test_empty_training_set_is_a_config_error(tmp_path, capsys):
     path = str(tmp_path / "zero.json")
     json.dump({"n_train": 0}, open(path, "w"))

@@ -38,6 +38,10 @@ def test_invalid_model_configs_rejected(kw):
     dict(lambda_align=-0.1),
     dict(scheduler="linear"),
     dict(batch_size=0),
+    dict(lr=float("nan")),
+    dict(lr=float("inf")),
+    dict(lambda_align=float("nan")),
+    dict(lambda_align=float("inf")),
 ])
 def test_invalid_train_configs_rejected(kw):
     with pytest.raises(ConfigError):

@@ -5,6 +5,7 @@ behavior (broadcasting, tape reuse, masking) is checked directly.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,42 @@ def test_fanout_accumulates():
     y = x * x + x * 3.0          # dy/dx = 2x + 3 = 7
     y.sum().backward()
     assert x.grad[0] == pytest.approx(7.0)
+
+
+def _scaled_chain(x, n):
+    y = x
+    for _ in range(n):
+        y = y * 1.01
+    return y.sum()
+
+
+def test_backward_frees_each_node_once_its_closure_has_run():
+    # 40 mul nodes on a 1 MB array hold 40 MB of tape; a backward that kept
+    # every visited node (with its new grad) until the end would add ~40 MB
+    x = Tensor(np.ones(1 << 17), requires_grad=True)
+    nbytes = x.data.nbytes
+    tracemalloc.start()
+    try:
+        loss = _scaled_chain(x, 40)
+        forward_live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - forward_live < 5 * nbytes
+    np.testing.assert_allclose(x.grad, np.full(x.shape, 1.01 ** 40), rtol=1e-12)
+
+
+def test_backward_keeps_what_the_caller_holds():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    mid = x * 2.0
+    out = mid * 3.0
+    out.sum().backward()
+    np.testing.assert_array_equal(mid.data, [0.0, 2.0, 4.0])
+    np.testing.assert_array_equal(mid.grad, [3.0, 3.0, 3.0])
+    np.testing.assert_array_equal(out.grad, np.ones(3))
+    np.testing.assert_array_equal(x.grad, [6.0, 6.0, 6.0])
 
 
 def test_no_grad_records_no_tape():

@@ -10,7 +10,7 @@ import pytest
 from fusegen import cli
 from fusegen import data as D
 from fusegen import training as TR
-from fusegen.config import ConfigError, ModelConfig, TrainConfig
+from fusegen.config import ConfigError, ModelConfig, TrainConfig, config_to_dict
 from fusegen.model import ReportModel
 from fusegen.tensor import Tensor
 from fusegen.verify import toy_config
@@ -172,6 +172,30 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         np.testing.assert_array_equal(state.v[name], s2.v[name])
     TR.save_checkpoint(m2, s2, tc2, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_checkpoint_bytes_follow_the_documented_format(tmp_path, dtype):
+    # magic, u32 version, u32 blob length, config blob, u32 record count, the
+    # records (parameters by name, then each Adam m/v pair by name), CRC32
+    model, state, _, tc = _tiny_run(2, model=ReportModel(toy_config(dtype=dtype)))
+    p = str(tmp_path / "f.ckpt")
+    TR.save_checkpoint(model, state, tc, p)
+    blob = json.dumps({"config": config_to_dict(model.cfg, tc), "adam_step": 2},
+                      sort_keys=True).encode("utf-8")
+    arrays = [(n, q.data) for n, q in sorted(model.params.items())]
+    for n in sorted(state.m):
+        arrays += [("adam.m." + n, state.m[n]), ("adam.v." + n, state.v[n])]
+    body = b"DRMC" + struct.pack("<I", 1) + struct.pack("<I", len(blob)) + blob
+    body += struct.pack("<I", len(arrays))
+    for n, arr in arrays:
+        name = n.encode("utf-8")
+        body += struct.pack("<I", len(name)) + name
+        body += bytes([{"float64": 0, "float32": 1}[dtype], arr.ndim])
+        body += b"".join(struct.pack("<I", s) for s in arr.shape)
+        body += arr.astype("<" + arr.dtype.char).tobytes()
+    assert len(arrays) == 3 * len(model.params)
+    assert open(p, "rb").read() == body + struct.pack("<I", zlib.crc32(body))
 
 
 def test_resume_continues_the_loss_curve(tmp_path):
@@ -350,11 +374,13 @@ def _drop_record(name):
     _rename_adam_m_record,
     _repeat_adam_v_name,
     _drop_record(b"adam.m.dec.head.w"),
+    _set_config_value("lr", float("nan")),
+    _set_config_value("lambda_align", float("inf")),
 ], ids=["unknown-dtype-tag", "meta-not-json", "meta-not-utf8", "meta-not-object",
         "meta-lacks-config", "meta-lacks-adam-step", "adam-step-str", "config-str-float",
         "config-str-bool", "config-unknown-key", "config-dtype-mismatch",
         "adam-v-missing", "unknown-record-name", "duplicate-record-name",
-        "adam-m-missing"])
+        "adam-m-missing", "config-nan-lr", "config-inf-lambda"])
 def test_checkpoint_malformed_body_raises_checkpoint_error(tmp_path, corrupt):
     # each corrupted body gets a fresh CRC, so only the parser can catch it
     model, state, _, tc = _tiny_run(1)
