@@ -11,16 +11,30 @@ the same model, max_len 12). For each workload in turn, each of ROUNDS rounds
 times a block of BLOCK operations on each tree and alternates which tree goes
 first. Per workload it prints the median and IQR of the per-round
 change/parent block-time ratio, the rounds the change won, and each tree's p10
-and p50 per operation. The same tree twice is an A/A run. Last, each tree runs
+and p50 per operation. The same tree twice is an A/A run. Then each tree runs
 one untimed train step under tracemalloc, and the script prints the MB its
 forward leaves live and the peak MB during its backward, both above the
 traced memory before the step.
+
+Last, each tree trains in fresh processes of its own (one BLAS thread), two
+per tree in alternating order: FRESH_WARMUP untimed steps, then FRESH_STEPS
+timed ones. Per run it prints the p50 ms/step and, from ``getrusage`` deltas
+over the timed steps, the minor page faults and the system-CPU ms per step.
+A long-lived process that shares its heap with the other tree can hide what
+a fresh one pays: an allocator that returns memory to the OS after every
+step shows up here as faults and system time, not in the ratios above.
+The children all run in this script's directory, because the fault count
+follows the heap layout, which even the working directory moves; compare
+trees within one run.
 """
 
 import argparse
 import importlib
 import importlib.util
+import json
 import os
+import resource
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -29,6 +43,8 @@ import numpy as np
 
 ROUNDS = 20
 BLOCK = 20     # operations per block
+FRESH_RUNS, FRESH_WARMUP, FRESH_STEPS = 2, 20, 200
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def load(tree: str, name: str):
@@ -91,6 +107,34 @@ def block(op, n: int) -> list:
     return times
 
 
+def fresh_train(tree: str) -> None:
+    """Body of one fresh process: time ``tree``'s train steps and print
+    p50 ms, minor faults and system-CPU ms per step as one JSON line."""
+    train = workloads(load(tree, "fusegen_fresh"))[0]["train"]
+    block(train, FRESH_WARMUP)
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    times = block(train, FRESH_STEPS)
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    print(json.dumps({"ms": float(np.median(times)) * 1e3,
+                      "faults": (after.ru_minflt - before.ru_minflt) / FRESH_STEPS,
+                      "sys_ms": (after.ru_stime - before.ru_stime) * 1e3 / FRESH_STEPS}))
+
+
+def fresh_runs(trees) -> list:
+    env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ab; "
+            "ab.fresh_train(sys.argv[2])")
+    here = os.path.dirname(os.path.abspath(__file__))
+    runs = ([], [])
+    for r in range(FRESH_RUNS):
+        for i in ((0, 1) if r % 2 == 0 else (1, 0)):
+            out = subprocess.run([sys.executable, "-c", code, here, os.path.abspath(trees[i])],
+                                 env=env, cwd=here, check=True, capture_output=True,
+                                 text=True).stdout
+            runs[i].append(json.loads(out.splitlines()[-1]))
+    return runs
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
@@ -117,6 +161,10 @@ def main() -> None:
     (live_a, peak_a), (live_b, peak_b) = (probe() for probe in memory)
     print(f"train step traced MB, forward-live/backward-peak: parent {live_a:.1f}/{peak_a:.1f}, "
           f"change {live_b:.1f}/{peak_b:.1f}")
+    runs = [", ".join(f"{r['ms']:.2f}/{r['faults']:.0f}/{r['sys_ms']:.2f}" for r in tree)
+            for tree in fresh_runs((args.parent, args.change))]
+    print(f"train fresh processes, ms/step p50 / minor faults per step / system ms per step: "
+          f"parent {runs[0]}; change {runs[1]}")
 
 
 if __name__ == "__main__":

@@ -94,7 +94,11 @@ def adaptor_forward(
     cfg: ModelConfig,
     l_mask: Optional[np.ndarray] = None,
 ) -> Tensor:
-    """F2: (N, S_V + S_L, P)."""
+    """F2: (N, S_V + S, P) for S <= S_L keyword rows; the gate takes its
+    first S_V + S logits."""
     x = build_unified_input(v_e, l_e, params)
-    x_v, x_l = apply_modality_indicator(x, params["adp.ind.raw"], cfg.s_v)
+    raw = params["adp.ind.raw"]
+    if l_e.shape[-2] < cfg.s_l:     # a keyword segment trimmed to its real columns
+        raw = raw[: cfg.s_v + l_e.shape[-2]]
+    x_v, x_l = apply_modality_indicator(x, raw, cfg.s_v)
     return decoupled_attention(x_v, x_l, params, cfg, l_mask)

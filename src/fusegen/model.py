@@ -33,6 +33,11 @@ class LossReport:
     total: Optional[Tensor] = field(default=None, repr=False)
 
 
+def _extent(mask: np.ndarray) -> int:
+    """One past the last column of an (N, L) mask that is True in some row; at least 1."""
+    return int(np.flatnonzero(mask.any(axis=0)).max(initial=0)) + 1
+
+
 class ReportModel:
     def __init__(self, cfg: ModelConfig, *, _random_init: bool = True):
         # _random_init=False leaves every parameter zero: the layout that
@@ -98,24 +103,30 @@ class ReportModel:
         return f, np.concatenate([seq_valid] * len(parts), axis=1)
 
     def losses(self, batch: Batch, lambda_align: float) -> LossReport:
+        """Composite loss at the batch's real extent. Keyword columns padded
+        in every row are masked keys and fused rows, and report positions
+        past every row's last target come causally after all targets, so
+        dropping them changes the losses only at rounding."""
         cfg = self.cfg
-        f, f_row_mask = self.fuse(batch.images, batch.kw_ids, batch.kw_mask)
+        s, t = _extent(batch.kw_mask), _extent(batch.rep_mask)
+        f, f_row_mask = self.fuse(batch.images, batch.kw_ids[:, :s], batch.kw_mask[:, :s])
 
         l_align = Tensor(np.zeros(1, dtype=cfg.dtype))
         if cfg.use_alignment:
             f_emb = aln_mod.pool_fusion(f, self.params, row_mask=f_row_mask)
-            r_emb = aln_mod.embed_report(batch.rep_ids, self.params,
-                                         mask=batch.rep_content_mask)
+            r_emb = aln_mod.embed_report(batch.rep_ids[:, :t], self.params,
+                                         mask=batch.rep_content_mask[:, :t])
             tau = aln_mod.temperature(self.params)
             l_align = aln_mod.info_nce(f_emb, r_emb, tau)
 
-        logits = dec_mod.decoder_forward(batch.rep_in, f, f_row_mask, self.params, cfg)
-        l_ce, l_ce_tok = dec_mod.cross_entropy(logits, batch.rep_tgt, batch.rep_mask)
+        logits = dec_mod.decoder_forward(batch.rep_in[:, :t], f, f_row_mask, self.params, cfg)
+        l_ce, l_ce_tok = dec_mod.cross_entropy(logits, batch.rep_tgt[:, :t],
+                                               batch.rep_mask[:, :t])
 
         total = l_ce + l_align * lambda_align
         for name, val in (("l_ce", l_ce), ("l_align", l_align), ("l_total", total)):
             if not np.isfinite(val.data).all():
-                raise FloatingPointError(f"non-finite loss in {name}")
+                raise T.NonFiniteError(f"non-finite loss in {name}: {val.item()}")
         return LossReport(l_ce=float(l_ce.item()),
                           l_ce_per_token=float(l_ce_tok.item()),
                           l_align=float(l_align.item()),

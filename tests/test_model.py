@@ -1,10 +1,13 @@
 """Tests for the assembled model: toggles, fusion layout, losses, generation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fusegen import abstractor as ABS
 from fusegen import adaptor as ADP
+from fusegen import alignment as ALN
 from fusegen import cli
 from fusegen import data as D
 from fusegen import decoder as DEC
@@ -126,6 +129,101 @@ def test_losses_look_up_decoder_embeddings_once():
                if node._children == (table,)
                and node._backward.__qualname__.startswith("embedding.")]
     assert len(lookups) == 1
+
+
+def _repad(batch, s_l, t):
+    """``batch`` zero-padded to s_l keyword columns and t report positions,
+    as ``make_batch`` pads."""
+    def pad(a, width):
+        return np.pad(a, [(0, 0), (0, width - a.shape[1])])
+    return D.Batch(batch.images, pad(batch.kw_ids, s_l), pad(batch.kw_mask, s_l),
+                   *(pad(a, t) for a in (batch.rep_in, batch.rep_tgt, batch.rep_mask,
+                                         batch.rep_ids, batch.rep_content_mask)))
+
+
+def _losses_at_full_extent(model, batch, lambda_align):
+    """Reference composite loss that runs every keyword slot and report
+    position of the batch, padding included."""
+    f, f_row_mask = model.fuse(batch.images, batch.kw_ids, batch.kw_mask)
+    tau = ALN.temperature(model.params)
+    l_align = ALN.info_nce(ALN.pool_fusion(f, model.params, row_mask=f_row_mask),
+                           ALN.embed_report(batch.rep_ids, model.params,
+                                            mask=batch.rep_content_mask), tau)
+    logits = DEC.decoder_forward(batch.rep_in, f, f_row_mask, model.params, model.cfg)
+    l_ce, _ = DEC.cross_entropy(logits, batch.rep_tgt, batch.rep_mask)
+    return l_ce + l_align * lambda_align
+
+
+def _loss_and_grads(cfg, loss_fn):
+    model = ReportModel(cfg)
+    total = loss_fn(model)
+    value = total.item()
+    total.backward()
+    return value, {name: p.grad for name, p in model.params.items()}
+
+
+def test_losses_at_real_extent_match_the_padded_batch():
+    cfg = toy_config()                                   # s_l 4, max_report_len 12
+    vocab = D.default_vocab()
+    samples = D.synth_generate(4, seed=0, side=cfg.image_side)
+    short = D.make_batch(samples, vocab, s_l=2, max_len=10)
+    padded = _repad(short, cfg.s_l, cfg.max_report_len + 1)
+    runs = [_loss_and_grads(cfg, lambda m: m.losses(short, 0.5).total),
+            _loss_and_grads(cfg, lambda m: m.losses(padded, 0.5).total),
+            _loss_and_grads(cfg, lambda m: _losses_at_full_extent(m, padded, 0.5))]
+    (ref, ref_grads), others = runs[-1], runs[:-1]
+    for value, grads in others:
+        assert value == pytest.approx(ref, rel=1e-12)
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            scale = np.abs(ref_grads[name]).max()
+            assert np.abs(g - ref_grads[name]).max() <= 1e-12 * scale, name
+    # one keyword per sample: the gate logits of slots 2-4 are trimmed away
+    gate = others[1][1]["adp.ind.raw"]
+    assert gate.shape == (cfg.s_v + cfg.s_l,)
+    assert np.all(gate[cfg.s_v + 1:] == 0.0) and np.all(gate[:cfg.s_v + 1] != 0.0)
+
+
+def _extents_seen(model, batch, monkeypatch):
+    """(keyword columns, report positions) that ``losses`` runs on."""
+    seen = {}
+    encode, forward = encoders.encode_keywords, DEC.decoder_forward
+
+    def spy_encode(ids, *args, **kwargs):
+        seen["kw"] = ids.shape[1]
+        return encode(ids, *args, **kwargs)
+
+    def spy_forward(ids, *args):
+        seen["rep"] = ids.shape[1]
+        return forward(ids, *args)
+
+    monkeypatch.setattr(encoders, "encode_keywords", spy_encode)
+    monkeypatch.setattr(DEC, "decoder_forward", spy_forward)
+    model.losses(batch, 0.5)
+    return seen["kw"], seen["rep"]
+
+
+def test_losses_keep_every_column_some_row_uses(monkeypatch):
+    cfg = toy_config()
+    model = ReportModel(cfg)
+    vocab = D.default_vocab()
+    samples = D.synth_generate(4, seed=0, side=cfg.image_side)
+    assert _extents_seen(model, D.make_batch(samples, vocab, cfg.s_l, 10),
+                         monkeypatch) == (1, max(len(s.report.split()) for s in samples) + 1)
+    # "spot dot" is spot [SEP] dot; a report cut at max_len fills max_len + 1
+    samples[2] = replace(samples[2], keywords="spot dot", report=" ".join(["a"] * 14))
+    batch = D.make_batch(samples, vocab, cfg.s_l, cfg.max_report_len)
+    assert _extents_seen(model, batch, monkeypatch) == (3, cfg.max_report_len + 1)
+
+
+def test_losses_raise_non_finite_error_naming_the_term():
+    cfg = toy_config(dtype="float32")
+    model = ReportModel(cfg)
+    _, _, batch = _batch(cfg, n=8)
+    assert issubclass(T.NonFiniteError, FloatingPointError)
+    # l_align ~ log(8) times 3e38 is past float32's largest finite value
+    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="l_total"):
+        model.losses(batch, lambda_align=3e38)
 
 
 def _greedy_uncached(model, image, kw_ids, kw_mask, bos_id, eos_id, max_len):

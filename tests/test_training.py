@@ -522,7 +522,7 @@ def test_float32_model_stays_float32():
     batch = D.make_batch(D.synth_generate(4, seed=3, side=cfg.image_side),
                          D.default_vocab(), cfg.s_l, 10)
     nodes = _tape_nodes(model.losses(batch, 0.5).total)
-    assert len(nodes) == 281   # the whole losses graph of the toy model
+    assert len(nodes) == 282   # the whole losses graph of the toy model
     assert {n.data.dtype for n in nodes} == {f32}
     _, state, _, _ = _warmup_cosine_run("float32", 3, model=model)
     assert {p.data.dtype for p in model.params.values()} == {f32}
