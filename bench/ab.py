@@ -5,9 +5,12 @@
 Each tree's ``src/fusegen`` is imported as its own package, so both run in one
 process under the same machine state. The workloads are float32 train steps
 on the criterion-6 configuration (batch 32, max_len 10), batch-1 ``generate``
-calls (untrained model, 12 steps) and ``eval`` operations
+calls (untrained model, 12 steps), ``eval`` operations
 (``cli._decode_corpus`` plus ``metrics.score_corpus`` over 64 train samples on
-the same model, max_len 12). For each workload in turn, each of ROUNDS rounds
+the same model, max_len 12) and whole ``fusegen generate`` requests
+(``cli.main``, stdout discarded) on a checkpoint of that model saved by the
+tree's own ``save_checkpoint``, so each request also pays the checkpoint load
+and data set-up. For each workload in turn, each of ROUNDS rounds
 times a block of BLOCK operations on each tree and alternates which tree goes
 first. Per workload it prints the median and IQR of the per-round
 change/parent block-time ratio, the rounds the change won, and each tree's p10
@@ -29,13 +32,16 @@ trees within one run.
 """
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -80,6 +86,16 @@ def workloads(fg, seed: int = 0) -> dict:
     def evaluate():
         M.score_corpus(*CLI._decode_corpus(gen_model, samples[:64], vocab, 12))
 
+    run_dir = tempfile.TemporaryDirectory()     # removed when the last request is gone
+    TR.save_checkpoint(gen_model, TR.AdamState(), tc, os.path.join(run_dir.name, "model.ckpt"))
+
+    def request():
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = CLI.main(["generate", "--out", run_dir.name, "--sample-seed", str(seed),
+                           "--max-len", "12"])
+        if rc != 0:
+            raise RuntimeError(f"generate request exited {rc}")
+
     def train_memory():
         idx = TR.batch_indices(seed, run["step"], len(samples), tc.batch_size)
         batch = D.make_batch([samples[i] for i in idx], vocab, model.cfg.s_l, 10)
@@ -95,7 +111,8 @@ def workloads(fg, seed: int = 0) -> dict:
             tracemalloc.stop()
         return live / 2**20, peak / 2**20
 
-    return {"train": train, "generate": generate, "eval": evaluate}, train_memory
+    return {"train": train, "generate": generate, "eval": evaluate,
+            "request": request}, train_memory
 
 
 def block(op, n: int) -> list:

@@ -200,6 +200,11 @@ def cmd_generate(args) -> int:
                    if w and w not in vocab.word_to_id]
         if unknown:
             print(f"warning: unknown keywords map to {D.UNK}: {unknown}", file=sys.stderr)
+        fit = D.max_keywords(model.cfg.s_l)
+        dropped = keywords.split()[fit:]
+        if dropped:
+            print(f"warning: {model.cfg.s_l} keyword slots hold {fit} keywords, "
+                  f"dropped: {dropped}", file=sys.stderr)
         if not keywords.strip():
             print("warning: empty keyword string, using a separator-only sequence",
                   file=sys.stderr)

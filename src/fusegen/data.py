@@ -153,21 +153,28 @@ class Batch:
         return self.images.shape[0]
 
 
+def max_keywords(s_l: int) -> int:
+    """How many whole keywords fit in ``s_l`` slots: k keywords take k
+    tokens and k-1 separators."""
+    return (s_l + 1) // 2
+
+
 def encode_keyword_string(vocab: Vocab, keywords: str, s_l: int,
                           drop_rng: Optional[np.random.Generator] = None,
                           dropout: float = 0.0):
-    """Tokenize [SEP]-joined keywords into a fixed-length padded row."""
+    """Tokenize [SEP]-joined keywords into a fixed-length padded row. Only
+    the first ``max_keywords(s_l)`` keywords are kept, so the row never
+    ends on a separator."""
     words = [w for w in keywords.split() if w]
     if drop_rng is not None and dropout > 0.0:
         words = [w for w in words if drop_rng.uniform() >= dropout]
     tokens: List[int] = []
-    for i, w in enumerate(words):
+    for i, w in enumerate(words[:max_keywords(s_l)]):
         if i > 0:
             tokens.append(vocab.sep_id)
         tokens.append(vocab.word_to_id.get(w, vocab.unk_id))
     if not tokens:
         tokens = [vocab.sep_id]
-    tokens = tokens[:s_l]
     ids = np.full(s_l, vocab.pad_id, dtype=np.int64)
     mask = np.zeros(s_l, dtype=bool)
     ids[: len(tokens)] = tokens

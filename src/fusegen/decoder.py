@@ -3,14 +3,13 @@
 Layer order: RMS pre-norm -> causal grouped-query self-attention (rotary
 positions on Q/K) -> residual -> RMS pre-norm -> cross-attention over the
 fused memory -> residual -> RMS pre-norm -> SwiGLU -> residual. The
-cross-attention memory is the projected fused rows followed by the decoder's
-own input-token embeddings, with the report segment causally masked
-(``memory_mask``) so logits at position t never see tokens past t. Training
-builds it in one pass on Tensors. Cached decoding (``decode_step``) runs the
+cross-attention memory is the projected fused rows alone, their padding
+masked; only self-attention sees the report tokens, causally. Training runs
+the layers in one pass on Tensors. Cached decoding (``decode_step``) runs the
 same layers on the parameters' arrays, without the tape, for N streams in
-lockstep. Its per-layer KV cache, which also holds the cross-attention
-projections, is sized by its constructor for the whole decode: step 0 writes
-the fused rows and the first token into it, each later step one token row.
+lockstep. Its ``KVCache`` projects the memory's cross-attention keys and
+values once, in its constructor, and sizes the self-attention cache for the
+whole decode; each step writes one token row into it.
 """
 
 from __future__ import annotations
@@ -88,24 +87,32 @@ def rope_apply(x: Tensor, start_pos: int = 0) -> Tensor:
 # ---------------------------------------------------------------------
 
 class KVCache:
-    """Keys/values of a ``decode_step`` run of at most ``max_len`` steps for
-    N streams over ``s_f`` fused rows, allocated once, here, in ``cfg.dtype``.
+    """Everything a ``decode_step`` run of at most ``max_len`` steps for the
+    N streams of the (N, S_F, P) fused rows ``f`` reads, built once, here.
 
-    ``k``/``v``: (N, n_kv, max_len, head_dim) per layer. ``mem_k``/``mem_v``:
-    the (N, n_q, s_f + max_len, head_dim) cross-attention projections of the
-    memory rows, each row projected once. ``length`` counts the positions
-    written; entries written earlier never change.
+    ``w``: the parameters' arrays. ``mem_k``/``mem_v``: per layer, the
+    (N, n_q, S_F, head_dim) cross-attention keys and values of
+    ``project_memory(f)``, and ``blocked`` the fused rows they must not
+    attend to. ``cos``/``sin``: the RoPE rows of positions 0 .. max_len-1.
+    ``k``/``v``: per layer, the (N, n_kv, max_len, head_dim) self-attention
+    cache in ``cfg.dtype``. ``length`` counts the positions written; entries
+    written earlier never change.
     """
 
-    def __init__(self, cfg: ModelConfig, n: int, s_f: int, max_len: int):
-        self.n, self.s_f, self.max_len, self.length = n, s_f, max_len, 0
-        kv = (n, cfg.n_kv, max_len, cfg.head_dim)
-        mem = (n, cfg.n_q, s_f + max_len, cfg.head_dim)
+    def __init__(self, params: dict, cfg: ModelConfig, f: Tensor, f_row_mask: np.ndarray,
+                 max_len: int):
+        self.cfg, self.max_len, self.length = cfg, max_len, 0
+        self.w = w = {name: p.data for name, p in params.items()}
+        self.n = f.shape[0]
+        memory = f.data @ w["dec.mem.w"] + w["dec.mem.b"]
         layers = range(cfg.dec_layers)
+        self.mem_k = [nn.split_heads(memory @ w[f"dec.layer{l}.ca.w_k"], cfg.n_q) for l in layers]
+        self.mem_v = [nn.split_heads(memory @ w[f"dec.layer{l}.ca.w_v"], cfg.n_q) for l in layers]
+        self.blocked = ~np.asarray(f_row_mask, dtype=bool)[:, None, None, :]   # heads, queries
+        self.cos, self.sin = _rope_tables(0, max_len, cfg.head_dim, w["dec.embed"].dtype)
+        kv = (self.n, cfg.n_kv, max_len, cfg.head_dim)
         self.k = [np.empty(kv, cfg.dtype) for _ in layers]
         self.v = [np.empty(kv, cfg.dtype) for _ in layers]
-        self.mem_k = [np.empty(mem, cfg.dtype) for _ in layers]
-        self.mem_v = [np.empty(mem, cfg.dtype) for _ in layers]
 
 
 def gqa_attention(x: Tensor, params: dict, cfg: ModelConfig, layer: int) -> Tensor:
@@ -130,7 +137,7 @@ def cross_attention(x: Tensor, memory: Tensor, params: dict, cfg: ModelConfig,
                     layer: int, mem_mask: np.ndarray) -> Tensor:
     """Standard multi-head attention of decoder states over the memory rows.
 
-    ``mem_mask``: boolean (N, Tq, S_m), True = may attend.
+    ``mem_mask``: boolean (N, S_m), True = may attend, the same for every query.
     """
     pre = f"dec.layer{layer}.ca"
 
@@ -139,7 +146,7 @@ def cross_attention(x: Tensor, memory: Tensor, params: dict, cfg: ModelConfig,
 
     q = heads(x, params[f"{pre}.w_q"])
     k, v = heads(memory, params[f"{pre}.w_k"]), heads(memory, params[f"{pre}.w_v"])
-    out, _ = nn.attention(q, k, v, cfg.attn_norm, mem_mask[:, None])  # head axis
+    out, _ = nn.attention(q, k, v, cfg.attn_norm, mem_mask[:, None, None, :])  # heads, queries
     return T.matmul(nn.merge_heads(out), params[f"{pre}.w_o"])
 
 
@@ -154,16 +161,6 @@ def swiglu_ffn(x: Tensor, w1: Tensor, w2: Tensor, w3: Tensor) -> Tensor:
 
 def project_memory(f: Tensor, params: dict) -> Tensor:
     return nn.linear(f, params["dec.mem.w"], params["dec.mem.b"])
-
-
-def memory_mask(f_row_mask: np.ndarray, start: int, t: int) -> np.ndarray:
-    """(N, t, S_F+start+t) cross-attention mask for queries at positions
-    start .. start+t-1: the valid fused rows, then the report rows up to and
-    including the query's own position."""
-    n, s_f = f_row_mask.shape
-    causal = np.tri(t, start + t, k=start, dtype=bool)
-    return np.concatenate([np.broadcast_to(f_row_mask[:, None, :], (n, t, s_f)),
-                           np.broadcast_to(causal, (n, t, start + t))], axis=2)
 
 
 def decoder_layer(x: Tensor, memory: Tensor, mem_mask: np.ndarray, params: dict,
@@ -192,52 +189,36 @@ def decoder_forward(
     if t < 1 or t > cfg.max_report_len + 1:
         raise ConfigError(f"sequence length {t} exceeds configured maximum {cfg.max_report_len + 1}")
     x = T.embedding(params["dec.embed"], ids)
-    memory = T.concat([project_memory(f, params), x], axis=-2)
-    mem_mask = memory_mask(f_row_mask, 0, t)
+    memory = project_memory(f, params)
     for l in range(cfg.dec_layers):
-        x = decoder_layer(x, memory, mem_mask, params, cfg, l)
+        x = decoder_layer(x, memory, f_row_mask, params, cfg, l)
     x = T.rms_norm(x, params["dec.final_rms.g"])
     return T.matmul(x, params["dec.head.w"])
 
 
-def decode_step(
-    token_ids: np.ndarray,
-    pos: int,
-    f: Tensor,
-    f_row_mask: np.ndarray,
-    params: dict,
-    cfg: ModelConfig,
-    cache: KVCache,
-) -> np.ndarray:
+def decode_step(cache: KVCache, token_ids: np.ndarray) -> np.ndarray:
     """One cached autoregressive step for N streams: (N,) ids at position
-    ``pos`` -> (N, vocab) logits. Step 0 writes the projected fused rows and
-    the token's embedding into the cross-attention memory; later steps write
-    only the token's embedding. ``pos`` must be the cache's length.
+    ``cache.length`` -> (N, vocab) logits. Writes the token's self-attention
+    keys and values into the cache; the memory's were projected by its
+    constructor.
 
     Runs the layers of ``decoder_layer`` on the parameters' arrays and
-    builds no Tensor; the logits match ``decoder_forward``'s row at ``pos``
-    to rounding."""
-    if pos != cache.length:
-        raise ValueError(f"cache holds {cache.length} positions, expected {pos}")
+    builds no Tensor; the logits match ``decoder_forward``'s row at that
+    position to rounding."""
+    pos = cache.length
     if pos >= cache.max_len:
         raise ValueError(f"cache sized for {cache.max_len} steps is full")
     ids = np.asarray(token_ids)
     if ids.shape != (cache.n,):
         raise ValueError(f"cache holds {cache.n} streams, got ids of shape {ids.shape}")
-    if pos == 0 and f.shape[1] != cache.s_f:
-        raise ValueError(f"cache sized for {cache.s_f} fused rows, got {f.shape[1]}")
-    w = {name: p.data for name, p in params.items()}
+    cfg, w = cache.cfg, cache.w
     x = T._lookup_np(w["dec.embed"], ids[:, None])
     n, hd, n_q, n_kv = x.shape[0], cfg.head_dim, cfg.n_q, cfg.n_kv
-    rows = x if pos > 0 else np.concatenate(
-        [f.data @ w["dec.mem.w"] + w["dec.mem.b"], x], axis=-2)
-    t, hi = pos + 1, cache.s_f + pos + 1    # positions, memory rows after this step
-    lo = hi - rows.shape[1]
-    blocked = ~memory_mask(f_row_mask, pos, 1)[:, None]    # head axis
-    cos, sin = _rope_tables(pos, 1, hd, x.dtype)
+    t = pos + 1
+    cos, sin = cache.cos[pos:t], cache.sin[pos:t]
     for l in range(cfg.dec_layers):
         pre = f"dec.layer{l}"
-        k, v, mem_k, mem_v = cache.k[l], cache.v[l], cache.mem_k[l], cache.mem_v[l]
+        k, v = cache.k[l], cache.v[l]
         h = _rms_np(x, w[f"{pre}.rms1.g"])
         q = T._rotate_np(nn.split_heads(h @ w[f"{pre}.sa.w_q"], n_q), cos, sin)
         k[:, :, pos:t] = T._rotate_np(nn.split_heads(h @ w[f"{pre}.sa.w_k"], n_kv), cos, sin)
@@ -249,15 +230,13 @@ def decode_step(
 
         h = _rms_np(x, w[f"{pre}.rms2.g"])
         q = nn.split_heads(h @ w[f"{pre}.ca.w_q"], n_q)
-        mem_k[:, :, lo:hi] = nn.split_heads(rows @ w[f"{pre}.ca.w_k"], n_q)
-        mem_v[:, :, lo:hi] = nn.split_heads(rows @ w[f"{pre}.ca.w_v"], n_q)
-        out = _attention_np(q, mem_k[:, :, :hi], mem_v[:, :, :hi], cfg.attn_norm, blocked)
+        out = _attention_np(q, cache.mem_k[l], cache.mem_v[l], cfg.attn_norm, cache.blocked)
         x = x + nn.merge_heads(out) @ w[f"{pre}.ca.w_o"]
 
         h = _rms_np(x, w[f"{pre}.rms3.g"])
         gate = h @ w[f"{pre}.ffn.w2"]
         x = x + ((h @ w[f"{pre}.ffn.w1"]) * (gate * T._sigmoid_np(gate))) @ w[f"{pre}.ffn.w3"]
-    cache.length = pos + 1
+    cache.length = t
     return (_rms_np(x, w["dec.final_rms.g"]) @ w["dec.head.w"])[:, 0]
 
 

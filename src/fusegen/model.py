@@ -149,17 +149,16 @@ class ReportModel:
             raise ValueError("max_len must be >= 1")
         if mode not in ("greedy", "sample"):
             raise ValueError(f"unknown decode mode {mode!r}")
-        cfg = self.cfg
         n = image.shape[0]
         rng = np.random.default_rng(seed)
         tokens: List[List[int]] = [[] for _ in range(n)]
         with T.no_grad():
             f, f_row_mask = self.fuse(image, kw_ids, kw_mask)
-        cache = dec_mod.KVCache(cfg, n, f.shape[1], max_len)
+        cache = dec_mod.KVCache(self.params, self.cfg, f, f_row_mask, max_len)
         cur = np.full(n, bos_id)
         live = np.ones(n, dtype=bool)
-        for pos in range(max_len):
-            logits = dec_mod.decode_step(cur, pos, f, f_row_mask, self.params, cfg, cache)
+        for _ in range(max_len):
+            logits = dec_mod.decode_step(cache, cur)
             if mode == "greedy":
                 cur = logits.argmax(axis=-1)
             else:

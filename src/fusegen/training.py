@@ -132,7 +132,7 @@ def run_training(model: ReportModel, samples: Sequence[SyntheticSample],
 # ---------------------------------------------------------------------
 
 MAGIC = b"DRMC"
-VERSION = 1
+VERSION = 2    # 2: the decoder cross-attends to the fused rows alone
 _DTYPE_TAGS = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 

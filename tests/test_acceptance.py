@@ -172,10 +172,10 @@ def test_criterion_3_decoder_equivalences(capsys):
     f_mask = np.ones((1, 6), dtype=bool)
     ids = RNG.integers(0, cfg.vocab_size, 8)
     full = dec_mod.decoder_forward(ids[None], f, f_mask, params, cfg).data[0]
-    cache = dec_mod.KVCache(cfg, 1, f.shape[1], len(ids))
+    cache = dec_mod.KVCache(params, cfg, f, f_mask, len(ids))
     cache_dev = 0.0
     for pos, tok in enumerate(ids):
-        row = dec_mod.decode_step(ids[None, pos], pos, f, f_mask, params, cfg, cache)[0]
+        row = dec_mod.decode_step(cache, ids[None, pos])[0]
         cache_dev = max(cache_dev, float(np.abs(row - full[pos]).max()))
 
     # (c) RoPE: scores depend only on the relative offset

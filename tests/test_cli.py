@@ -206,6 +206,17 @@ def test_generate_emits_text_and_warns_on_unknown_keywords(tmp_path, capsys):
     assert isinstance(captured.out.strip(), str)
 
 
+def test_generate_warns_on_keywords_that_do_not_fit(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    model = ReportModel(toy_config())       # s_l = 4 slots hold 2 keywords
+    TR.save_checkpoint(model, TR.AdamState(), TrainConfig(), str(out / "model.ckpt"))
+    assert cli.main(["generate", "--out", str(out), "--keywords", "spot dot"]) == 0
+    assert "dropped" not in capsys.readouterr().err
+    assert cli.main(["generate", "--out", str(out), "--keywords", "spot dot halo"]) == 0
+    assert "dropped: ['halo']" in capsys.readouterr().err
+
+
 def test_generate_sampling_flags(tmp_path, capsys):
     cfg_path = _toy_config_file(tmp_path)
     out = str(tmp_path / "run")

@@ -103,6 +103,18 @@ def test_keyword_encoding_padding_and_sep():
     assert ids[3] == v.pad_id
 
 
+@pytest.mark.parametrize("s_l, kept", [(1, ["spot"]), (2, ["spot"]), (4, ["spot", "dot"]),
+                                       (5, ["spot", "dot", "halo"])])
+def test_keyword_encoding_keeps_whole_keywords_and_never_ends_on_sep(s_l, kept):
+    v = D.default_vocab()
+    ids, mask = D.encode_keyword_string(v, "spot dot halo", s_l)
+    expect = [v.word_to_id["spot"]]
+    for w in kept[1:]:
+        expect += [v.sep_id, v.word_to_id[w]]
+    assert list(ids[mask]) == expect
+    assert (ids[~mask] == v.pad_id).all() and not mask[len(expect):].any()
+
+
 def test_keyword_encoding_empty_falls_back_to_sep():
     v = D.default_vocab()
     ids, mask = D.encode_keyword_string(v, "", 4)

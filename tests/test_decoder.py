@@ -143,9 +143,8 @@ def test_gqa_group_sharing_oracle():
 def _decode(ids, f, f_mask, params, cfg):
     """(N, T, vocab) logits of a decode_step loop over the (N, T) ids, and
     the cache it filled."""
-    cache = DEC.KVCache(cfg, ids.shape[0], f.shape[1], ids.shape[1])
-    steps = [DEC.decode_step(ids[:, pos], pos, f, f_mask, params, cfg, cache)
-             for pos in range(ids.shape[1])]
+    cache = DEC.KVCache(params, cfg, f, f_mask, ids.shape[1])
+    steps = [DEC.decode_step(cache, ids[:, pos]) for pos in range(ids.shape[1])]
     return np.stack(steps, axis=1), cache
 
 
@@ -164,18 +163,14 @@ def test_cached_equals_uncached_attention():
         np.testing.assert_allclose(cached, full, rtol=0, atol=1e-10, err_msg=mode)
 
 
-def test_cache_grows_one_per_step_and_checks_position():
+def test_cache_grows_one_per_step():
     cfg, params = _setup()
     f, f_mask = _fused(cfg, n=2)
-    cache = DEC.KVCache(cfg, 2, f.shape[1], 8)
+    cache = DEC.KVCache(params, cfg, f, f_mask, 8)
     ids = RNG.integers(0, cfg.vocab_size, 2)
     for pos in range(2):
-        DEC.decode_step(ids, pos, f, f_mask, params, cfg, cache)
+        DEC.decode_step(cache, ids)
         assert cache.length == pos + 1
-    for wrong in (0, 1, 5):
-        with pytest.raises(ValueError, match="positions"):
-            DEC.decode_step(ids, wrong, f, f_mask, params, cfg, cache)
-    assert cache.length == 2
 
 
 def test_cached_decoding_matches_full_forward():
@@ -183,9 +178,9 @@ def test_cached_decoding_matches_full_forward():
     f, f_mask = _fused(cfg)
     ids = RNG.integers(0, cfg.vocab_size, 7)
     full = DEC.decoder_forward(ids[None], f, f_mask, params, cfg).data[0]
-    cache = DEC.KVCache(cfg, 1, f.shape[1], len(ids))
+    cache = DEC.KVCache(params, cfg, f, f_mask, len(ids))
     for pos, tok in enumerate(ids):
-        row = DEC.decode_step(ids[None, pos], pos, f, f_mask, params, cfg, cache)[0]
+        row = DEC.decode_step(cache, ids[None, pos])[0]
         np.testing.assert_allclose(row, full[pos], atol=1e-8)
 
 
@@ -195,26 +190,23 @@ def test_batched_decode_step_rows_match_full_forward_per_stream():
     f, f_mask = _fused(cfg, n=n)
     ids = RNG.integers(0, cfg.vocab_size, (n, t))
     full = DEC.decoder_forward(ids, f, f_mask, params, cfg).data
-    cache = DEC.KVCache(cfg, n, f.shape[1], t)
+    cache = DEC.KVCache(params, cfg, f, f_mask, t)
     for pos in range(t):
-        rows = DEC.decode_step(ids[:, pos], pos, f, f_mask, params, cfg, cache)
+        rows = DEC.decode_step(cache, ids[:, pos])
         assert rows.shape == (n, cfg.vocab_size)
         np.testing.assert_allclose(rows, full[:, pos], atol=1e-8)
     assert cache.k[0].shape == (n, cfg.n_kv, t, cfg.head_dim)
 
 
 def test_cross_attention_kv_cache_matches_uncached(monkeypatch):
-    """The cache projects each memory row once, also as the memory grows:
-    step 0 projects the fused rows and the first token, each later step one
-    token row, and the filled rows equal the projections of the whole
-    memory."""
+    """The constructor projects the cross-attention keys and values of the
+    S_F fused rows once, equal to those of ``project_memory(f)``, and a step
+    projects no memory row."""
     cfg, params = _setup()
     n, t, s_f = 2, 4, 6
     f, f_mask = _fused(cfg, n=n, rows=s_f)
     ids = RNG.integers(0, cfg.vocab_size, (n, t))
-    memory = T.concat([DEC.project_memory(f, params),
-                       T.embedding(params["dec.embed"], ids)], axis=-2)
-    cache = DEC.KVCache(cfg, n, s_f, t)
+    memory = DEC.project_memory(f, params)
     split, projected = nn.split_heads, []
 
     def spy_split(x, n_heads):
@@ -222,19 +214,19 @@ def test_cross_attention_kv_cache_matches_uncached(monkeypatch):
         return split(x, n_heads)
 
     monkeypatch.setattr(nn, "split_heads", spy_split)
+    cache = DEC.KVCache(params, cfg, f, f_mask, t)
+    assert projected == [s_f] * 2 * cfg.dec_layers
+    for l in range(cfg.dec_layers):
+        for cached, name in ((cache.mem_k[l], "w_k"), (cache.mem_v[l], "w_v")):
+            w = params[f"dec.layer{l}.ca.{name}"]
+            ref = split(T.matmul(memory, w), cfg.n_q).data
+            assert cached.shape == (n, cfg.n_q, s_f, cfg.head_dim)
+            np.testing.assert_allclose(cached, ref, rtol=0, atol=1e-12)
     for pos in range(t):
         projected.clear()
-        DEC.decode_step(ids[:, pos], pos, f, f_mask, params, cfg, cache)
-        rows = s_f + pos + 1
-        # per layer: q, k, v of self-attention, q of cross-attention, then
-        # the cross-attention k and v of the memory rows this step adds
-        new = s_f + 1 if pos == 0 else 1
-        assert projected == [1, 1, 1, 1, new, new] * cfg.dec_layers
-        for l in range(cfg.dec_layers):
-            for cached, name in ((cache.mem_k[l], "w_k"), (cache.mem_v[l], "w_v")):
-                w = params[f"dec.layer{l}.ca.{name}"]
-                ref = nn.split_heads(T.matmul(memory[:, :rows], w), cfg.n_q).data
-                np.testing.assert_allclose(cached[:, :, :rows], ref, rtol=0, atol=1e-12)
+        DEC.decode_step(cache, ids[:, pos])
+        # per layer: q, k, v of self-attention and q of cross-attention
+        assert projected == [1, 1, 1, 1] * cfg.dec_layers
 
 
 @pytest.mark.parametrize("mode", ["softmax", "sigmoid"])
@@ -266,20 +258,20 @@ def test_cache_fills_its_buffers_in_place():
     n, t = 2, 3
     f, f_mask = _fused(cfg, n=n)
     s_f = f.shape[1]
-    cache = DEC.KVCache(cfg, n, s_f, max_len=t)
+    cache = DEC.KVCache(params, cfg, f, f_mask, max_len=t)
     assert cache.length == 0
     assert [b.shape for b in cache.k + cache.v] == [(n, cfg.n_kv, t, cfg.head_dim)] * 4
     assert ([b.shape for b in cache.mem_k + cache.mem_v]
-            == [(n, cfg.n_q, s_f + t, cfg.head_dim)] * 4)
+            == [(n, cfg.n_q, s_f, cfg.head_dim)] * 4)
     bufs = cache.k + cache.v + cache.mem_k + cache.mem_v
     ids = RNG.integers(0, cfg.vocab_size, (n, t + 1))
     filled = []
     for pos in range(t):
-        DEC.decode_step(ids[:, pos], pos, f, f_mask, params, cfg, cache)
+        DEC.decode_step(cache, ids[:, pos])
         filled.append([b[:, :, :pos + 1].copy() for b in cache.k + cache.v]
-                      + [b[:, :, :s_f + pos + 1].copy() for b in cache.mem_k + cache.mem_v])
+                      + [b.copy() for b in cache.mem_k + cache.mem_v])
     with pytest.raises(ValueError, match="full"):
-        DEC.decode_step(ids[:, t], t, f, f_mask, params, cfg, cache)
+        DEC.decode_step(cache, ids[:, t])
     assert cache.length == t
     now = cache.k + cache.v + cache.mem_k + cache.mem_v
     assert all(a is b for a, b in zip(now, bufs))
@@ -290,24 +282,16 @@ def test_cache_fills_its_buffers_in_place():
 
 def test_cache_rejects_changed_stream_count():
     cfg, params = _setup()
+    f, f_mask = _fused(cfg, n=3)
+    cache = DEC.KVCache(params, cfg, f, f_mask, 2)
+    with pytest.raises(ValueError, match="streams"):
+        DEC.decode_step(cache, RNG.integers(0, cfg.vocab_size, 2))
     f, f_mask = _fused(cfg, n=2)
-    cache = DEC.KVCache(cfg, 3, f.shape[1], 2)
+    cache = DEC.KVCache(params, cfg, f, f_mask, 2)
+    DEC.decode_step(cache, RNG.integers(0, cfg.vocab_size, 2))
     with pytest.raises(ValueError, match="streams"):
-        DEC.decode_step(RNG.integers(0, cfg.vocab_size, 2), 0, f, f_mask, params, cfg, cache)
-    cache = DEC.KVCache(cfg, 2, f.shape[1], 2)
-    DEC.decode_step(RNG.integers(0, cfg.vocab_size, 2), 0, f, f_mask, params, cfg, cache)
-    with pytest.raises(ValueError, match="streams"):
-        DEC.decode_step(RNG.integers(0, cfg.vocab_size, 3), 1, f, f_mask, params, cfg, cache)
+        DEC.decode_step(cache, RNG.integers(0, cfg.vocab_size, 3))
     assert cache.length == 1
-
-
-def test_cache_rejects_other_fused_row_count():
-    cfg, params = _setup()
-    f, f_mask = _fused(cfg, n=2, rows=5)
-    cache = DEC.KVCache(cfg, 2, 6, 2)
-    with pytest.raises(ValueError, match="fused rows"):
-        DEC.decode_step(RNG.integers(0, cfg.vocab_size, 2), 0, f, f_mask, params, cfg, cache)
-    assert cache.length == 0
 
 
 # ---------------------------------------------------------------------

@@ -120,7 +120,7 @@ def test_training_memory_report_segment_is_causal():
 
 
 def test_losses_look_up_decoder_embeddings_once():
-    """The decoder input and its cross-attention memory share one lookup."""
+    """The decoder looks its input tokens up once."""
     cfg = toy_config()
     model = ReportModel(cfg)
     _, _, batch = _batch(cfg)
@@ -340,9 +340,10 @@ def test_float32_decode_stays_float32(monkeypatch):
         return logits[-1]
 
     class SpyCache(DEC.KVCache):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
+        def __init__(self, params, cfg, f, f_row_mask, max_len):
+            super().__init__(params, cfg, f, f_row_mask, max_len)
             self.allocated = [*self.k, *self.v, *self.mem_k, *self.mem_v]
+            self.s_f = f.shape[1]
             caches.append(self)
 
     monkeypatch.setattr(Tensor, "__init__", spy_init)
@@ -363,7 +364,7 @@ def test_float32_decode_stays_float32(monkeypatch):
     assert all(a is b for a, b in zip(cache.allocated, bufs))
     assert cache.length == 6
     assert {b.shape for b in bufs} == {(8, cfg.n_kv, 6, cfg.head_dim),
-                                       (8, cfg.n_q, cache.s_f + 6, cfg.head_dim)}
+                                       (8, cfg.n_q, cache.s_f, cfg.head_dim)}
 
 
 def test_generate_sampling_is_seeded():

@@ -186,7 +186,7 @@ def test_checkpoint_bytes_follow_the_documented_format(tmp_path, dtype):
     arrays = [(n, q.data) for n, q in sorted(model.params.items())]
     for n in sorted(state.m):
         arrays += [("adam.m." + n, state.m[n]), ("adam.v." + n, state.v[n])]
-    body = b"DRMC" + struct.pack("<I", 1) + struct.pack("<I", len(blob)) + blob
+    body = b"DRMC" + struct.pack("<I", 2) + struct.pack("<I", len(blob)) + blob
     body += struct.pack("<I", len(arrays))
     for n, arr in arrays:
         name = n.encode("utf-8")
@@ -270,6 +270,19 @@ def test_checkpoint_truncation_detected(tmp_path):
         fh.write(raw[: len(raw) // 2])
     with pytest.raises(TR.CheckpointError):
         TR.load_checkpoint(p)
+
+
+def test_version_1_checkpoint_is_rejected(tmp_path):
+    # version 1 decoders also cross-attended to their own token embeddings,
+    # so their weights would decode wrongly under today's decoder
+    model, state, _, tc = _tiny_run(1)
+    p = tmp_path / "v1.ckpt"
+    TR.save_checkpoint(model, state, tc, str(p))
+    body = p.read_bytes()[:-4]
+    body = body[:4] + struct.pack("<I", 1) + body[8:]
+    p.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(TR.CheckpointError, match="version 1"):
+        TR.load_checkpoint(str(p))
 
 
 # body layout: magic, u32 version, u32 meta length, meta JSON, u32 record
@@ -522,7 +535,7 @@ def test_float32_model_stays_float32():
     batch = D.make_batch(D.synth_generate(4, seed=3, side=cfg.image_side),
                          D.default_vocab(), cfg.s_l, 10)
     nodes = _tape_nodes(model.losses(batch, 0.5).total)
-    assert len(nodes) == 282   # the whole losses graph of the toy model
+    assert len(nodes) == 281   # the whole losses graph of the toy model
     assert {n.data.dtype for n in nodes} == {f32}
     _, state, _, _ = _warmup_cosine_run("float32", 3, model=model)
     assert {p.data.dtype for p in model.params.values()} == {f32}
