@@ -10,7 +10,12 @@ calls (untrained model, 12 steps), ``eval`` operations
 the same model, max_len 12) and whole ``fusegen generate`` requests
 (``cli.main``, stdout discarded) on a checkpoint of that model saved by the
 tree's own ``save_checkpoint``, so each request also pays the checkpoint load
-and data set-up. For each workload in turn, each of ROUNDS rounds
+and data set-up. The ``eval request`` workload is whole ``fusegen eval --split
+train`` calls (``cli.main``) on a checkpoint that each tree trains with the
+recipe of perfbench's eval fixture (EVAL_FIXTURE_STEPS steps, batch 16,
+lr 1e-3) and saves when the block first runs, so it covers the checkpoint
+load, the synthesis of the 200 train-split samples, batched decoding that
+stops at EOS and scoring. For each workload in turn, each of ROUNDS rounds
 times a block of BLOCK operations on each tree and alternates which tree goes
 first. Per workload it prints the median and IQR of the per-round
 change/parent block-time ratio, the rounds the change won, and each tree's p10
@@ -33,6 +38,7 @@ trees within one run.
 
 import argparse
 import contextlib
+import functools
 import importlib
 import importlib.util
 import io
@@ -50,6 +56,7 @@ import numpy as np
 ROUNDS = 20
 BLOCK = 20     # operations per block
 FRESH_RUNS, FRESH_WARMUP, FRESH_STEPS = 2, 20, 200
+EVAL_FIXTURE_STEPS = 300
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -96,6 +103,24 @@ def workloads(fg, seed: int = 0) -> dict:
         if rc != 0:
             raise RuntimeError(f"generate request exited {rc}")
 
+    @functools.cache
+    def eval_checkpoint() -> str:
+        fixture = fg.ReportModel(fg.ModelConfig(vocab_size=32, seed=seed))
+        fixture_tc = fg.TrainConfig(batch_size=16, lr=1e-3, scheduler="constant", seed=seed,
+                                    n_train=200)
+        state, _ = TR.run_training(fixture, samples, vocab, fixture_tc,
+                                   n_steps=EVAL_FIXTURE_STEPS, max_len=10)
+        path = os.path.join(run_dir.name, "eval.ckpt")
+        TR.save_checkpoint(fixture, state, fixture_tc, path)
+        return path
+
+    def eval_request():
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = CLI.main(["eval", "--checkpoint", eval_checkpoint(), "--split", "train",
+                           "--out", run_dir.name])
+        if rc != 0:
+            raise RuntimeError(f"eval request exited {rc}")
+
     def train_memory():
         idx = TR.batch_indices(seed, run["step"], len(samples), tc.batch_size)
         batch = D.make_batch([samples[i] for i in idx], vocab, model.cfg.s_l, 10)
@@ -112,7 +137,7 @@ def workloads(fg, seed: int = 0) -> dict:
         return live / 2**20, peak / 2**20
 
     return {"train": train, "generate": generate, "eval": evaluate,
-            "request": request}, train_memory
+            "request": request, "eval request": eval_request}, train_memory
 
 
 def block(op, n: int) -> list:

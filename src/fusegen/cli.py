@@ -36,8 +36,11 @@ ABLATION_GRID = [
 
 # Streams per batched generate call in eval/ablate. The decode caches scale
 # with the batch (the cross-attention K/V alone hold N x rows x dec_d floats
-# per layer). On the 200-report eval benchmark (2-core VM) one 200-stream
-# call raised peak RSS by 17%; 64 streams cost ~1% RSS and ~6% throughput.
+# per layer). On the 200-report eval benchmark (seed 1, 2-core VM, two 8 s
+# runs each) one 200-stream call peaked at 51.2 MB RSS against 46.9 MB at
+# 64 streams (+9%; 100 streams 47.9, 40 streams 47.0), while reports/s
+# spread as much between runs as between sizes (64: 2646-3096; 200:
+# 3027-3556).
 DECODE_BATCH = 64
 
 

@@ -10,6 +10,7 @@ learnable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
@@ -87,23 +88,28 @@ class SyntheticSample:
     report: str            # space-separated report words
 
 
-def _render_blob(img: np.ndarray, pair_idx: int, row: int, col: int) -> None:
-    side = img.shape[0]
+@functools.lru_cache(maxsize=256)
+def _blob_mask(side: int, pair_idx: int, row: int, col: int) -> np.ndarray:
+    """Read-only (side, side) boolean mask of the pixels a blob of type pair
+    ``pair_idx`` in cell (``row``, ``col``) covers."""
     cell = side // 2
     y0, x0 = row * cell, col * cell
     cy, cx = y0 + cell // 2, x0 + cell // 2
     yy, xx = np.mgrid[0:side, 0:side]
     r2 = (yy - cy) ** 2 + (xx - cx) ** 2
     rad = max(1.5, cell / 2.5)
+    mask = np.zeros((side, side), dtype=bool)
     if pair_idx == 0:      # filled disk
-        img[r2 <= rad ** 2, 0] = 1.0
+        mask = r2 <= rad ** 2
     elif pair_idx == 1:    # ring
-        img[(r2 <= rad ** 2) & (r2 >= (rad - 1.2) ** 2), 0] = 1.0
+        mask = (r2 <= rad ** 2) & (r2 >= (rad - 1.2) ** 2)
     elif pair_idx == 2:    # horizontal bar
-        img[cy - 1:cy + 1, x0:x0 + cell, 0] = 1.0
+        mask[cy - 1:cy + 1, x0:x0 + cell] = True
     else:                  # filled square
         h = int(rad)
-        img[cy - h:cy + h, cx - h:cx + h, 0] = 1.0
+        mask[cy - h:cy + h, cx - h:cx + h] = True
+    mask.flags.writeable = False
+    return mask
 
 
 def make_sample(seed: int, index: int, side: int = 16) -> SyntheticSample:
@@ -114,7 +120,7 @@ def make_sample(seed: int, index: int, side: int = 16) -> SyntheticSample:
     col = int(rng.integers(len(COL_WORDS)))
     type_word = BLOB_TYPES[pair_idx][member]
     img = (rng.uniform(0.0, 0.15, size=(side, side, 1))).astype(float)
-    _render_blob(img, pair_idx, row, col)
+    img[_blob_mask(side, pair_idx, row, col), 0] = 1.0
     # template is a fixed function of content so the report is learnable
     template = _TEMPLATES[(pair_idx + 2 * member + row + col) % len(_TEMPLATES)]
     report = template.format(t=type_word, r=ROW_WORDS[row], c=COL_WORDS[col])

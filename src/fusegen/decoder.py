@@ -212,32 +212,38 @@ def decode_step(cache: KVCache, token_ids: np.ndarray) -> np.ndarray:
     if ids.shape != (cache.n,):
         raise ValueError(f"cache holds {cache.n} streams, got ids of shape {ids.shape}")
     cfg, w = cache.cfg, cache.w
-    x = T._lookup_np(w["dec.embed"], ids[:, None])
+    # token rows stay (N, d) so each weight product is one 2-D GEMM; the
+    # head split and merge see them as (N, 1, d)
+    x = T._lookup_np(w["dec.embed"], ids)
     n, hd, n_q, n_kv = x.shape[0], cfg.head_dim, cfg.n_q, cfg.n_kv
     t = pos + 1
     cos, sin = cache.cos[pos:t], cache.sin[pos:t]
+
+    def heads(rows: np.ndarray, n_heads: int) -> np.ndarray:
+        return nn.split_heads(rows[:, None], n_heads)
+
     for l in range(cfg.dec_layers):
         pre = f"dec.layer{l}"
         k, v = cache.k[l], cache.v[l]
         h = _rms_np(x, w[f"{pre}.rms1.g"])
-        q = T._rotate_np(nn.split_heads(h @ w[f"{pre}.sa.w_q"], n_q), cos, sin)
-        k[:, :, pos:t] = T._rotate_np(nn.split_heads(h @ w[f"{pre}.sa.w_k"], n_kv), cos, sin)
-        v[:, :, pos:t] = nn.split_heads(h @ w[f"{pre}.sa.w_v"], n_kv)
+        q = T._rotate_np(heads(h @ w[f"{pre}.sa.w_q"], n_q), cos, sin)
+        k[:, :, pos:t] = T._rotate_np(heads(h @ w[f"{pre}.sa.w_k"], n_kv), cos, sin)
+        v[:, :, pos:t] = heads(h @ w[f"{pre}.sa.w_v"], n_kv)
         out = _attention_np(q.reshape(n, n_kv, n_q // n_kv, 1, hd),
                             k[:, :, :t].reshape(n, n_kv, 1, t, hd),
                             v[:, :, :t].reshape(n, n_kv, 1, t, hd), cfg.attn_norm)
-        x = x + nn.merge_heads(out.reshape(n, n_q, 1, hd)) @ w[f"{pre}.sa.w_o"]
+        x = x + out.reshape(n, n_q * hd) @ w[f"{pre}.sa.w_o"]
 
         h = _rms_np(x, w[f"{pre}.rms2.g"])
-        q = nn.split_heads(h @ w[f"{pre}.ca.w_q"], n_q)
+        q = heads(h @ w[f"{pre}.ca.w_q"], n_q)
         out = _attention_np(q, cache.mem_k[l], cache.mem_v[l], cfg.attn_norm, cache.blocked)
-        x = x + nn.merge_heads(out) @ w[f"{pre}.ca.w_o"]
+        x = x + out.reshape(n, n_q * hd) @ w[f"{pre}.ca.w_o"]
 
         h = _rms_np(x, w[f"{pre}.rms3.g"])
         gate = h @ w[f"{pre}.ffn.w2"]
         x = x + ((h @ w[f"{pre}.ffn.w1"]) * (gate * T._sigmoid_np(gate))) @ w[f"{pre}.ffn.w3"]
     cache.length = t
-    return (_rms_np(x, w["dec.final_rms.g"]) @ w["dec.head.w"])[:, 0]
+    return _rms_np(x, w["dec.final_rms.g"]) @ w["dec.head.w"]
 
 
 def _rms_np(x: np.ndarray, gain: np.ndarray) -> np.ndarray:

@@ -43,6 +43,11 @@ def _ngrams(seq: Sequence, n: int) -> Counter:
     return Counter(tuple(seq[i:i + n]) for i in range(len(seq) - n + 1))
 
 
+def _counts(corpus: Sequence[Sequence]) -> List[List[Counter]]:
+    """Each sequence's n-gram counts, orders 1..MAX_N."""
+    return [[_ngrams(seq, n) for n in range(1, MAX_N + 1)] for seq in corpus]
+
+
 def _check_pairs(hypotheses, references):
     if len(hypotheses) != len(references):
         raise ValueError(f"{len(hypotheses)} hypotheses vs {len(references)} references")
@@ -53,16 +58,19 @@ def _check_pairs(hypotheses, references):
 def bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence]) -> List[float]:
     """Corpus BLEU-1..4 with BP = min(1, e^(1 - r/c))."""
     _check_pairs(hypotheses, references)
+    return _bleu(hypotheses, references, _counts(hypotheses), _counts(references))
+
+
+def _bleu(hypotheses, references, hyp_counts, ref_counts) -> List[float]:
     matches = [0] * MAX_N
     totals = [0] * MAX_N
     hyp_len = ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
+    for hyp, ref, hc, rc in zip(hypotheses, references, hyp_counts, ref_counts):
         hyp_len += len(hyp)
         ref_len += len(ref)
         for n in range(1, MAX_N + 1):
-            h = _ngrams(hyp, n)
-            r = _ngrams(ref, n)
-            matches[n - 1] += sum(min(c, r[g]) for g, c in h.items())
+            r = rc[n - 1]
+            matches[n - 1] += sum(min(c, r[g]) for g, c in hc[n - 1].items())
             totals[n - 1] += max(0, len(hyp) - n + 1)
     if hyp_len == 0:
         return [0.0] * MAX_N
@@ -108,40 +116,49 @@ def cider(hypotheses: Sequence[Sequence], references: Sequence[Sequence]) -> flo
     degenerate IDF and triggers a warning.
     """
     _check_pairs(hypotheses, references)
+    return _cider(references, _counts(hypotheses), _counts(references))
+
+
+def _cider(references, hyp_counts, ref_counts) -> float:
     n_refs = len(references)
     if len({tuple(r) for r in references}) < 2:
         warnings.warn("CIDEr IDF is degenerate with fewer than 2 distinct references")
     doc_freq = [Counter() for _ in range(MAX_N)]
-    for ref in references:
-        for n in range(1, MAX_N + 1):
-            doc_freq[n - 1].update(set(_ngrams(ref, n)))
+    for rc in ref_counts:
+        for df, counts in zip(doc_freq, rc):
+            df.update(counts.keys())
+    # each distinct n-gram's IDF weight, once; an n-gram in no reference
+    # counts as in one, so it weighs log(n_refs)
+    log_n = math.log(n_refs)
+    idf = [{g: log_n - math.log(c) for g, c in df.items()} for df in doc_freq]
 
-    def tfidf(seq, n):
-        counts = _ngrams(seq, n)
-        return {g: c * (math.log(n_refs) - math.log(max(1.0, doc_freq[n - 1][g])))
-                for g, c in counts.items()}
+    def tfidf(counts, weights):
+        return {g: c * weights.get(g, log_n) for g, c in counts.items()}
 
     total = 0.0
-    for hyp, ref in zip(hypotheses, references):
+    for hc, rc in zip(hyp_counts, ref_counts):
         pair = 0.0
-        for n in range(1, MAX_N + 1):
-            vh = tfidf(hyp, n)
-            vr = tfidf(ref, n)
+        for n in range(MAX_N):
+            vh = tfidf(hc[n], idf[n])
+            vr = tfidf(rc[n], idf[n])
             dot = sum(vh[g] * vr[g] for g in vh if g in vr)
             nh = math.sqrt(sum(x * x for x in vh.values()))
             nr = math.sqrt(sum(x * x for x in vr.values()))
             if nh > 0 and nr > 0:
                 pair += dot / (nh * nr)
         total += pair / MAX_N
-    return 10.0 * total / len(hypotheses)
+    return 10.0 * total / len(hyp_counts)
 
 
 def score_corpus(hypotheses: Sequence[Sequence], references: Sequence[Sequence]) -> ScoreReport:
+    """BLEU, ROUGE-L and CIDEr of one corpus; the n-gram counts of each
+    sequence are taken once and shared by BLEU and CIDEr."""
     _check_pairs(hypotheses, references)
+    hyp_counts, ref_counts = _counts(hypotheses), _counts(references)
     report = ScoreReport(
-        bleu=bleu(hypotheses, references),
+        bleu=_bleu(hypotheses, references, hyp_counts, ref_counts),
         rouge_l=rouge_l(hypotheses, references),
-        cider=cider(hypotheses, references),
+        cider=_cider(references, hyp_counts, ref_counts),
         n_pairs=len(hypotheses),
         n_empty_hyps=sum(1 for h in hypotheses if len(h) == 0),
     )

@@ -71,6 +71,50 @@ def test_twin_types_render_identically():
     assert checked > 10
 
 
+def _oracle_render_blob(img, pair_idx, row, col):
+    """The blob formula, evaluated afresh on every call."""
+    side = img.shape[0]
+    cell = side // 2
+    y0, x0 = row * cell, col * cell
+    cy, cx = y0 + cell // 2, x0 + cell // 2
+    yy, xx = np.mgrid[0:side, 0:side]
+    r2 = (yy - cy) ** 2 + (xx - cx) ** 2
+    rad = max(1.5, cell / 2.5)
+    if pair_idx == 0:
+        img[r2 <= rad ** 2, 0] = 1.0
+    elif pair_idx == 1:
+        img[(r2 <= rad ** 2) & (r2 >= (rad - 1.2) ** 2), 0] = 1.0
+    elif pair_idx == 2:
+        img[cy - 1:cy + 1, x0:x0 + cell, 0] = 1.0
+    else:
+        h = int(rad)
+        img[cy - h:cy + h, cx - h:cx + h, 0] = 1.0
+
+
+@pytest.mark.parametrize("side", [8, 16, 24])
+def test_make_sample_images_match_the_blob_formula_bitwise(side):
+    layouts = set()
+    for i in range(200):
+        rng = np.random.default_rng([3, i])
+        pair_idx = int(rng.integers(len(D.BLOB_TYPES)))
+        rng.integers(2)
+        row = int(rng.integers(len(D.ROW_WORDS)))
+        col = int(rng.integers(len(D.COL_WORDS)))
+        want = rng.uniform(0.0, 0.15, size=(side, side, 1)).astype(float)
+        _oracle_render_blob(want, pair_idx, row, col)
+        got = D.make_sample(3, i, side=side).image
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (i, pair_idx, row, col)
+        layouts.add((pair_idx, row, col))
+    assert len(layouts) == len(D.BLOB_TYPES) * len(D.ROW_WORDS) * len(D.COL_WORDS)
+
+
+def test_cached_blob_mask_is_read_only():
+    mask = D._blob_mask(16, 1, 0, 1)
+    assert mask is D._blob_mask(16, 1, 0, 1)
+    with pytest.raises(ValueError):
+        mask[0, 0] = True
+
+
 def test_vocab_covers_task():
     v = D.default_vocab()
     for i in range(50):

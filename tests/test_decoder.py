@@ -185,17 +185,20 @@ def test_cached_decoding_matches_full_forward():
 
 
 def test_batched_decode_step_rows_match_full_forward_per_stream():
+    """Also at 64 streams, where a step's weight products run as 2-D GEMMs
+    over the stream rows rather than one vector-matrix product per stream."""
     cfg, params = _setup()
-    n, t = 3, 6
-    f, f_mask = _fused(cfg, n=n)
-    ids = RNG.integers(0, cfg.vocab_size, (n, t))
-    full = DEC.decoder_forward(ids, f, f_mask, params, cfg).data
-    cache = DEC.KVCache(params, cfg, f, f_mask, t)
-    for pos in range(t):
-        rows = DEC.decode_step(cache, ids[:, pos])
-        assert rows.shape == (n, cfg.vocab_size)
-        np.testing.assert_allclose(rows, full[:, pos], atol=1e-8)
-    assert cache.k[0].shape == (n, cfg.n_kv, t, cfg.head_dim)
+    t = 6
+    for n in (3, 64):
+        f, f_mask = _fused(cfg, n=n)
+        ids = RNG.integers(0, cfg.vocab_size, (n, t))
+        full = DEC.decoder_forward(ids, f, f_mask, params, cfg).data
+        cache = DEC.KVCache(params, cfg, f, f_mask, t)
+        for pos in range(t):
+            rows = DEC.decode_step(cache, ids[:, pos])
+            assert rows.shape == (n, cfg.vocab_size)
+            np.testing.assert_allclose(rows, full[:, pos], atol=1e-8)
+        assert cache.k[0].shape == (n, cfg.n_kv, t, cfg.head_dim)
 
 
 def test_cross_attention_kv_cache_matches_uncached(monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for BLEU / ROUGE-L / CIDEr against independently written oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ def test_metrics_match_oracles_on_random_corpora():
         for a, b in zip(got, want):
             assert abs(a - b) < 1e-9, (trial, got, want)
         assert abs(M.rouge_l(hyps, refs) - oracle_rouge_l(hyps, refs)) < 1e-9
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert abs(M.cider(hyps, refs) - oracle_cider(hyps, refs)) < 1e-9
@@ -93,6 +93,34 @@ def test_mismatched_corpus_rejected():
         M.bleu([["a"]], [])
     with pytest.raises(ValueError):
         M.score_corpus([], [])
+
+
+def test_score_corpus_equals_the_separate_metrics_exactly():
+    """One pass over shared n-gram counts returns the very floats of
+    ``bleu``, ``rouge_l`` and ``cider`` called one by one. A small vocabulary
+    repeats n-grams; lengths from 0 give empty hypotheses and references;
+    every fifth corpus has one distinct reference, where CIDEr warns."""
+    rng = np.random.default_rng(41)
+    seen = {"empty hyp": 0, "empty ref": 0, "one reference": 0, "repeated n-gram": 0}
+    for trial in range(300):
+        hyps, refs = _random_corpus(rng, int(rng.integers(1, 9)), vocab=int(rng.integers(2, 6)),
+                                    min_len=0)
+        if trial % 5 == 0:
+            refs = [list(refs[0]) for _ in refs]
+        one_reference = len({tuple(r) for r in refs}) < 2
+        seen["empty hyp"] += any(len(h) == 0 for h in hyps)
+        seen["empty ref"] += any(len(r) == 0 for r in refs)
+        seen["one reference"] += one_reference
+        seen["repeated n-gram"] += any(len(set(h)) < len(h) for h in hyps)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = M.score_corpus(hyps, refs)
+            separate = (M.bleu(hyps, refs), M.rouge_l(hyps, refs), M.cider(hyps, refs))
+        degenerate = [w for w in caught if "degenerate" in str(w.message)]
+        assert len(degenerate) == (2 if one_reference else 0), trial
+        assert (rep.bleu, rep.rouge_l, rep.cider) == separate, trial
+        assert rep.n_pairs == len(hyps)
+    assert min(seen.values()) > 0, seen
 
 
 def test_score_corpus_aggregates():
