@@ -59,7 +59,7 @@ def _in_range(cast, lo, hi=math.inf):
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     """The flags ``_resolve_configs`` reads: a config file and overrides."""
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_in_range(int, 0))
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--samples", type=int, help="training-set size")
@@ -216,8 +216,8 @@ def cmd_generate(args) -> int:
     else:
         kw_ids = kw_mask = None
     [toks] = model.generate(sample.image[None], kw_ids, kw_mask, vocab.bos_id,
-                            vocab.eos_id, args.max_len, mode=args.mode,
-                            temperature=args.temperature, seed=model.cfg.seed)
+                            vocab.eos_id, args.max_len, temperature=args.temperature,
+                            seed=model.cfg.seed)
     print(vocab.decode(toks))
     return 0
 
@@ -280,15 +280,15 @@ def _parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="generate one report")
     _add_run_flags(p_gen)
-    p_gen.add_argument("--sample-seed", type=int, default=0)
+    p_gen.add_argument("--sample-seed", type=_in_range(int, 0), default=0)
     p_gen.add_argument("--sample-index", type=_in_range(int, 0), default=0)
     p_gen.add_argument("--keywords")
-    p_gen.add_argument("--mode", choices=["greedy", "sample"], default="greedy")
-    p_gen.add_argument("--temperature", type=_in_range(float, 0.0), default=1.0)
+    p_gen.add_argument("--temperature", type=_in_range(float, 0.0, sys.float_info.max),
+                       default=0.0, help="0 decodes greedily, > 0 samples")
 
     p_gc = sub.add_parser("grad-check", help="finite-difference verification")
     p_gc.add_argument("--attn", choices=["softmax", "sigmoid"], default="softmax")
-    p_gc.add_argument("--seed", type=int, default=0)
+    p_gc.add_argument("--seed", type=_in_range(int, 0), default=0)
 
     p_abl = sub.add_parser("ablate", help="run the component toggle grid")
     _add_config_flags(p_abl)

@@ -50,7 +50,6 @@ class ModelConfig:
     dec_layers: int = 2
     n_q: int = 4
     n_kv: int = 2
-    max_report_len: int = 16
 
     # global switches
     attn_norm: str = "softmax"    # "softmax" | "sigmoid"
@@ -65,8 +64,8 @@ class ModelConfig:
 
     def __post_init__(self):
         _at_least(self, 1, ("image_side", "e_v", "vocab_size", "e_l", "s_l", "enc_heads",
-                            "p", "d_align", "dec_d", "n_q", "n_kv", "max_report_len"))
-        _at_least(self, 0, ("enc_layers", "dec_layers"))
+                            "p", "d_align", "dec_d", "n_q", "n_kv"))
+        _at_least(self, 0, ("enc_layers", "dec_layers", "seed"))
         if self.image_side % 8 != 0:
             raise ConfigError(f"image_side={self.image_side} not divisible by 8")
         if self.e_l % self.enc_heads != 0:
@@ -122,7 +121,7 @@ class TrainConfig:
         if self.scheduler not in ("warmup_cosine", "constant"):
             raise ConfigError(f"unknown scheduler {self.scheduler!r}")
         _at_least(self, 1, ("batch_size", "n_train", "n_eval"))
-        _at_least(self, 0, ("epochs",))
+        _at_least(self, 0, ("epochs", "seed"))
 
 
 _MODEL_FIELDS = {f.name for f in dataclasses.fields(ModelConfig)}
@@ -175,8 +174,14 @@ def config_from_dict(d: dict) -> tuple[ModelConfig, TrainConfig]:
 
 
 def load_config(path: str) -> tuple[ModelConfig, TrainConfig]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    """The records of a JSON config file; a file that cannot be read or
+    parsed is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            d = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return config_from_dict(d)
 
 
 def save_config(model: ModelConfig, train: TrainConfig, path: str) -> None:

@@ -3,13 +3,14 @@
 Layer order: RMS pre-norm -> causal grouped-query self-attention (rotary
 positions on Q/K) -> residual -> RMS pre-norm -> cross-attention over the
 fused memory -> residual -> RMS pre-norm -> SwiGLU -> residual. The
-cross-attention memory is the projected fused rows alone, their padding
-masked; only self-attention sees the report tokens, causally. Training runs
-the layers in one pass on Tensors. Cached decoding (``decode_step``) runs the
-same layers on the parameters' arrays, without the tape, for N streams in
-lockstep. Its ``KVCache`` projects the memory's cross-attention keys and
-values once, in its constructor, and sizes the self-attention cache for the
-whole decode; each step writes one token row into it.
+cross-attention is ``nn.mha`` with the projected fused rows alone as its
+memory, their padding masked; only self-attention sees the report tokens,
+causally. Training runs the layers in one pass on Tensors. Cached decoding
+(``decode_step``) runs the same layers on the parameters' arrays, without the
+tape, for N streams in lockstep. Its ``KVCache`` projects the memory's
+cross-attention keys and values once, in its constructor, and sizes the
+self-attention cache for the whole decode; each step writes one token row
+into it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .config import ConfigError, ModelConfig
+from .config import ModelConfig
 from .tensor import Tensor
 
 
@@ -44,8 +45,8 @@ def init_decoder(cfg: ModelConfig, rng: Optional[np.random.Generator]) -> dict:
         params[f"{pre}.sa.w_k"] = nn.init_weight(rng, d, cfg.n_kv * hd)
         params[f"{pre}.sa.w_v"] = nn.init_weight(rng, d, cfg.n_kv * hd)
         params[f"{pre}.sa.w_o"] = nn.init_weight(rng, cfg.n_q * hd, d)
-        for name in ("w_q", "w_k", "w_v", "w_o"):
-            params[f"{pre}.ca.{name}"] = nn.init_weight(rng, d, d)
+        for name, w in nn.init_mha(rng, d).items():
+            params[f"{pre}.ca.{name}"] = w
         params[f"{pre}.ffn.w1"] = nn.init_weight(rng, d, cfg.d_ff)
         params[f"{pre}.ffn.w2"] = nn.init_weight(rng, d, cfg.d_ff)
         params[f"{pre}.ffn.w3"] = nn.init_weight(rng, cfg.d_ff, d)
@@ -133,23 +134,6 @@ def gqa_attention(x: Tensor, params: dict, cfg: ModelConfig, layer: int) -> Tens
     return T.matmul(nn.merge_heads(out.reshape(n, n_q, t, hd)), params[f"{pre}.w_o"])
 
 
-def cross_attention(x: Tensor, memory: Tensor, params: dict, cfg: ModelConfig,
-                    layer: int, mem_mask: np.ndarray) -> Tensor:
-    """Standard multi-head attention of decoder states over the memory rows.
-
-    ``mem_mask``: boolean (N, S_m), True = may attend, the same for every query.
-    """
-    pre = f"dec.layer{layer}.ca"
-
-    def heads(rows: Tensor, w: Tensor) -> Tensor:
-        return nn.split_heads(T.matmul(rows, w), cfg.n_q)
-
-    q = heads(x, params[f"{pre}.w_q"])
-    k, v = heads(memory, params[f"{pre}.w_k"]), heads(memory, params[f"{pre}.w_v"])
-    out, _ = nn.attention(q, k, v, cfg.attn_norm, mem_mask[:, None, None, :])  # heads, queries
-    return T.matmul(nn.merge_heads(out), params[f"{pre}.w_o"])
-
-
 def swiglu_ffn(x: Tensor, w1: Tensor, w2: Tensor, w3: Tensor) -> Tensor:
     """((x W1) * SiLU(x W2)) W3."""
     return T.matmul(T.matmul(x, w1) * T.silu(T.matmul(x, w2)), w3)
@@ -169,7 +153,8 @@ def decoder_layer(x: Tensor, memory: Tensor, mem_mask: np.ndarray, params: dict,
     h = T.rms_norm(x, params[f"{pre}.rms1.g"])
     x = x + gqa_attention(h, params, cfg, layer)
     h = T.rms_norm(x, params[f"{pre}.rms2.g"])
-    x = x + cross_attention(h, memory, params, cfg, layer, mem_mask)
+    ca = {name: params[f"{pre}.ca.{name}"] for name in ("w_q", "w_k", "w_v", "w_o")}
+    x = x + nn.mha(h, ca, cfg.n_q, cfg.attn_norm, mem_mask, memory)
     h = T.rms_norm(x, params[f"{pre}.rms3.g"])
     x = x + swiglu_ffn(h, params[f"{pre}.ffn.w1"], params[f"{pre}.ffn.w2"], params[f"{pre}.ffn.w3"])
     return x
@@ -184,11 +169,7 @@ def decoder_forward(
 ) -> Tensor:
     """Teacher-forced pass: (N, T) input ids over the (N, S_F, P) fused rows
     and their (N, S_F) mask -> (N, T, vocab) next-token logits."""
-    ids = np.asarray(report_ids_in)
-    t = ids.shape[1]
-    if t < 1 or t > cfg.max_report_len + 1:
-        raise ConfigError(f"sequence length {t} exceeds configured maximum {cfg.max_report_len + 1}")
-    x = T.embedding(params["dec.embed"], ids)
+    x = T.embedding(params["dec.embed"], np.asarray(report_ids_in))
     memory = project_memory(f, params)
     for l in range(cfg.dec_layers):
         x = decoder_layer(x, memory, f_row_mask, params, cfg, l)

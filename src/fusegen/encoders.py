@@ -46,16 +46,10 @@ def _patch_merge(x: Tensor) -> Tensor:
     return x.reshape(n, h // 2, w // 2, 4 * c)
 
 
-def encode_image(images, params: dict, cfg: ModelConfig) -> Tensor:
-    """Map (N, side, side, C) images to (N, S_V, E_V) features, flattened
-    row-major over the grid.
-
-    Arrays are cast to ``cfg.dtype``; a Tensor (which may carry a gradient)
-    must already have that dtype.
-    """
-    x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=cfg.dtype))
-    if x.data.dtype != cfg.dtype:
-        raise ConfigError(f"image tensor is {x.data.dtype}, the model runs in {cfg.dtype}")
+def encode_image(images: np.ndarray, params: dict, cfg: ModelConfig) -> Tensor:
+    """Map (N, side, side, C) images, cast to ``cfg.dtype``, to (N, S_V, E_V)
+    features, flattened row-major over the grid."""
+    x = Tensor(np.asarray(images, dtype=cfg.dtype))
     n, side, side2, c = x.shape
     if side != side2 or side % 8 != 0:
         raise ConfigError(f"image must be square with side divisible by 8, got {side}x{side2}")

@@ -133,17 +133,21 @@ def _cider(references, hyp_counts, ref_counts) -> float:
     idf = [{g: log_n - math.log(c) for g, c in df.items()} for df in doc_freq]
 
     def tfidf(counts, weights):
-        return {g: c * weights.get(g, log_n) for g, c in counts.items()}
+        vec = {g: c * weights.get(g, log_n) for g, c in counts.items()}
+        return vec, math.sqrt(sum(x * x for x in vec.values()))
 
+    # each distinct reference's vector and norm per order, once: equal
+    # sequences have equal counts in the same order, so the same floats
+    ref_vecs = {}
     total = 0.0
-    for hc, rc in zip(hyp_counts, ref_counts):
+    for hc, ref, rc in zip(hyp_counts, references, ref_counts):
+        key = tuple(ref)
+        if key not in ref_vecs:
+            ref_vecs[key] = [tfidf(rc[n], idf[n]) for n in range(MAX_N)]
         pair = 0.0
-        for n in range(MAX_N):
-            vh = tfidf(hc[n], idf[n])
-            vr = tfidf(rc[n], idf[n])
+        for n, (vr, nr) in enumerate(ref_vecs[key]):
+            vh, nh = tfidf(hc[n], idf[n])
             dot = sum(vh[g] * vr[g] for g in vh if g in vr)
-            nh = math.sqrt(sum(x * x for x in vh.values()))
-            nr = math.sqrt(sum(x * x for x in vr.values()))
             if nh > 0 and nr > 0:
                 pair += dot / (nh * nr)
         total += pair / MAX_N

@@ -75,16 +75,15 @@ class ReportModel:
     def fuse(self, images: np.ndarray, kw_ids: Optional[np.ndarray],
              kw_mask: Optional[np.ndarray]) -> Tuple[Tensor, np.ndarray]:
         """(N, S_F, P) fused rows and their (N, S_F) validity mask for a batch
-        of images and keyword ids; a missing ``kw_mask`` marks every keyword
-        token real."""
+        of images, keyword ids and their mask (True = real token); a model
+        without the keyword branch ignores both keyword inputs."""
         cfg = self.cfg
         v_e = encoders.encode_image(images, self.params, cfg)
         n = v_e.shape[0]
         l_e = None
         seq_valid = np.ones((n, cfg.s_v), dtype=bool)
         if cfg.use_keywords:
-            kw_mask = (np.ones(np.shape(kw_ids), dtype=bool) if kw_mask is None
-                       else np.asarray(kw_mask, dtype=bool))
+            kw_mask = np.asarray(kw_mask, dtype=bool)
             l_e = encoders.encode_keywords(kw_ids, self.params, cfg, mask=kw_mask)
             seq_valid = np.concatenate([seq_valid, kw_mask], axis=1)
 
@@ -136,19 +135,20 @@ class ReportModel:
     # -- inference ----------------------------------------------------
     def generate(self, image: np.ndarray, kw_ids: Optional[np.ndarray],
                  kw_mask: Optional[np.ndarray], bos_id: int, eos_id: int,
-                 max_len: int, mode: str = "greedy",
-                 temperature: float = 1.0,
+                 max_len: int, temperature: float = 0.0,
                  seed: int = 0) -> List[List[int]]:
         """Autoregressive decode without the tape, all streams in lockstep.
 
         Takes a batch (4-D images, 2-D keyword ids) and returns the content
-        ids of each stream. A stream stops at its EOS; the loop stops once
+        ids of each stream. ``temperature`` 0 picks the arg-max token; above
+        0 each live stream samples from the softmax of logits / temperature,
+        drawn from ``seed``. A stream stops at its EOS; the loop stops once
         every stream has stopped.
         """
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
-        if mode not in ("greedy", "sample"):
-            raise ValueError(f"unknown decode mode {mode!r}")
+        if not 0 <= temperature < np.inf:    # also rejects NaN
+            raise ValueError(f"temperature must be >= 0 and finite, got {temperature}")
         n = image.shape[0]
         rng = np.random.default_rng(seed)
         tokens: List[List[int]] = [[] for _ in range(n)]
@@ -159,7 +159,7 @@ class ReportModel:
         live = np.ones(n, dtype=bool)
         for _ in range(max_len):
             logits = dec_mod.decode_step(cache, cur)
-            if mode == "greedy":
+            if temperature == 0:
                 cur = logits.argmax(axis=-1)
             else:
                 for i in np.flatnonzero(live):
@@ -174,8 +174,5 @@ class ReportModel:
     @staticmethod
     def _sample(logits: np.ndarray, temperature: float,
                 rng: np.random.Generator) -> int:
-        z = logits / max(temperature, 1e-6)
-        z = z - z.max()
-        p = np.exp(z)
-        p /= p.sum()
+        p = T._softmax_np(logits / max(temperature, 1e-6))
         return int(rng.choice(len(p), p=p))

@@ -88,19 +88,22 @@ def mha(
     n_heads: int,
     mode: str = "softmax",
     key_mask: Optional[np.ndarray] = None,
+    memory: Optional[Tensor] = None,
 ) -> Tensor:
-    """Multi-head self-attention over a batch of sequences.
+    """Multi-head attention of the rows of x over ``memory`` (default: x).
 
-    x: (N, S, d) with d divisible by n_heads; per-head scaling 1/sqrt(d_head).
-    ``key_mask``: (N, S) boolean, True = valid position. Masked positions get
+    x: (N, S, d), memory: (N, S_m, d), d divisible by n_heads; queries come
+    from x, keys and values from memory; per-head scaling 1/sqrt(d_head).
+    ``key_mask``: (N, S_m) boolean, True = valid memory row. Masked rows get
     -inf logits under softmax and exactly zero weight under sigmoid.
     """
-    s = x.shape[1]
+    memory = x if memory is None else memory
+    s = memory.shape[1]
     if key_mask is not None and np.asarray(key_mask).shape[-1] != s:
         raise T.ShapeError(f"mask length {np.asarray(key_mask).shape[-1]} != sequence length {s}")
     q = split_heads(linear(x, params["w_q"]), n_heads)
-    k = split_heads(linear(x, params["w_k"]), n_heads)
-    v = split_heads(linear(x, params["w_v"]), n_heads)
+    k = split_heads(linear(memory, params["w_k"]), n_heads)
+    v = split_heads(linear(memory, params["w_v"]), n_heads)
     km = None if key_mask is None else np.asarray(key_mask, dtype=bool)[:, None, None, :]
     out, _ = attention(q, k, v, mode, km)
     return linear(merge_heads(out), params["w_o"])

@@ -193,8 +193,11 @@ def load_checkpoint(path: str):
     parameter layout its config implies and copied once into an array of its
     own. The model draws no random init; every parameter comes from the file.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if len(raw) < 12:
         raise CheckpointError("truncated checkpoint file")
     buf = memoryview(raw)[:-4]

@@ -64,8 +64,7 @@ def toy_config(attn_norm: str = "softmax", seed: int = 0, **overrides) -> ModelC
     kw = dict(
         image_side=16, e_v=8, e_l=16, s_l=4, enc_layers=1, enc_heads=4,
         p=16, d_align=16, dec_d=32, dec_layers=1, n_q=4, n_kv=2,
-        vocab_size=29, max_report_len=12, attn_norm=attn_norm, seed=seed,
-        dtype="float64",
+        vocab_size=29, attn_norm=attn_norm, seed=seed, dtype="float64",
     )
     kw.update(overrides)
     return ModelConfig(**kw)

@@ -115,6 +115,11 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
     ["eval", "--keyword-dropout", "nan"],
     ["generate", "--temperature", "-1"],
     ["generate", "--temperature", "nan"],
+    ["generate", "--temperature", "inf"],
+    ["train", "--seed", "-1"],
+    ["ablate", "--seed", "-1"],
+    ["generate", "--sample-seed", "-1"],
+    ["grad-check", "--seed", "-1"],
 ], ids=" ".join)
 def test_out_of_range_run_flags_exit_2_before_any_work(argv, tmp_path, capsys):
     out = tmp_path / "o"
@@ -188,6 +193,25 @@ def test_float32_train_then_eval_through_the_config(tmp_path, capsys):
     assert "BLEU-4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "missing.json"],
+    ["train", "--config", "a-directory"],
+    ["train", "--config", "cut.json"],
+    ["eval", "--checkpoint", "a-directory"],
+], ids=" ".join)
+def test_unreadable_config_or_checkpoint_exits_2_with_one_line(argv, tmp_path, monkeypatch,
+                                                               capsys):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("a-directory")
+    with open("cut.json", "w") as fh:
+        fh.write('{"seed": 1,')
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("config error: ", "checkpoint error: ")) and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_eval_missing_checkpoint_fails(tmp_path, capsys):
     rc = cli.main(["eval", "--out", str(tmp_path / "nope")])
     assert rc == 1
@@ -222,8 +246,7 @@ def test_generate_sampling_flags(tmp_path, capsys):
     out = str(tmp_path / "run")
     cli.main(["train", "--config", cfg_path, "--out", out, "--epochs", "1"])
     capsys.readouterr()
-    rc = cli.main(["generate", "--out", out, "--mode", "sample",
-                   "--temperature", "2.0", "--sample-index", "1"])
+    rc = cli.main(["generate", "--out", out, "--temperature", "2.0", "--sample-index", "1"])
     assert rc == 0
 
 

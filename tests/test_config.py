@@ -50,7 +50,7 @@ def test_invalid_train_configs_rejected(kw):
 
 @pytest.mark.parametrize("key,value", [
     ("enc_heads", 0), ("n_kv", 0), ("n_q", 0), ("image_side", 0), ("dec_d", 0),
-    ("vocab_size", 0), ("s_l", 0), ("max_report_len", -1), ("dec_layers", -1),
+    ("vocab_size", 0), ("s_l", 0), ("dec_layers", -1), ("seed", -1),
     ("n_train", 0), ("n_eval", 0),
 ])
 def test_non_positive_sizes_rejected(key, value):

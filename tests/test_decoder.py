@@ -6,7 +6,6 @@ import pytest
 from fusegen import decoder as DEC
 from fusegen import nn
 from fusegen import tensor as T
-from fusegen.config import ConfigError
 from fusegen.tensor import Tensor
 from fusegen.verify import toy_config
 
@@ -327,12 +326,17 @@ def test_cross_attention_memory_mask():
         np.testing.assert_allclose(a, b, atol=1e-12, err_msg=mode)
 
 
-def test_decoder_rejects_overlong_sequence():
+def test_decoder_forward_over_40_positions_matches_decode_step():
+    """No configured report length caps the teacher-forced pass: 40
+    positions, past any report the task makes, match the cached steps."""
     cfg, params = _setup()
-    f, f_mask = _fused(cfg)
-    with pytest.raises(ConfigError):
-        DEC.decoder_forward(np.zeros((1, cfg.max_report_len + 2), dtype=int),
-                            f, f_mask, params, cfg)
+    f, f_mask = _fused(cfg, n=2)
+    ids = RNG.integers(0, cfg.vocab_size, (2, 40))
+    full = DEC.decoder_forward(ids, f, f_mask, params, cfg).data
+    cached, _ = _decode(ids, f, f_mask, params, cfg)
+    for pos in range(40):
+        np.testing.assert_allclose(cached[:, pos], full[:, pos], atol=1e-8,
+                                   err_msg=f"position {pos}")
 
 
 # ---------------------------------------------------------------------

@@ -24,8 +24,11 @@ def _random_corpus(rng, n_pairs, vocab=12, min_len=1, max_len=9):
 
 def test_metrics_match_oracles_on_random_corpora():
     rng = np.random.default_rng(31)
-    for trial in range(50):
-        hyps, refs = _random_corpus(rng, int(rng.integers(2, 8)))
+    corpora = [_random_corpus(rng, int(rng.integers(2, 8))) for _ in range(50)]
+    # 12 pairs over 3 distinct references, each repeated in turn
+    hyps, refs = _random_corpus(rng, 12)
+    corpora.append((hyps, [list(refs[i % 3]) for i in range(12)]))
+    for trial, (hyps, refs) in enumerate(corpora):
         got = M.bleu(hyps, refs)
         want = oracle_bleu(hyps, refs)
         for a, b in zip(got, want):

@@ -163,11 +163,11 @@ def _loss_and_grads(cfg, loss_fn):
 
 
 def test_losses_at_real_extent_match_the_padded_batch():
-    cfg = toy_config()                                   # s_l 4, max_report_len 12
+    cfg = toy_config()                                   # s_l 4
     vocab = D.default_vocab()
     samples = D.synth_generate(4, seed=0, side=cfg.image_side)
     short = D.make_batch(samples, vocab, s_l=2, max_len=10)
-    padded = _repad(short, cfg.s_l, cfg.max_report_len + 1)
+    padded = _repad(short, cfg.s_l, 12 + 1)
     runs = [_loss_and_grads(cfg, lambda m: m.losses(short, 0.5).total),
             _loss_and_grads(cfg, lambda m: m.losses(padded, 0.5).total),
             _loss_and_grads(cfg, lambda m: _losses_at_full_extent(m, padded, 0.5))]
@@ -212,8 +212,8 @@ def test_losses_keep_every_column_some_row_uses(monkeypatch):
                          monkeypatch) == (1, max(len(s.report.split()) for s in samples) + 1)
     # "spot dot" is spot [SEP] dot; a report cut at max_len fills max_len + 1
     samples[2] = replace(samples[2], keywords="spot dot", report=" ".join(["a"] * 14))
-    batch = D.make_batch(samples, vocab, cfg.s_l, cfg.max_report_len)
-    assert _extents_seen(model, batch, monkeypatch) == (3, cfg.max_report_len + 1)
+    batch = D.make_batch(samples, vocab, cfg.s_l, 12)
+    assert _extents_seen(model, batch, monkeypatch) == (3, 12 + 1)
 
 
 def test_losses_raise_non_finite_error_naming_the_term():
@@ -290,22 +290,6 @@ def test_generate_batch_equals_uncached_per_stream(trained_toy):
     assert len({len(t) for t in batched}) >= 3
 
 
-def test_generate_missing_keyword_mask_means_all_tokens_real(trained_toy):
-    model, vocab, samples = trained_toy
-    enc = [D.encode_keyword_string(vocab, s.keywords, model.cfg.s_l) for s in samples[:4]]
-    assert not all(m.all() for _, m in enc)     # some keyword rows carry padding
-    for s, (ids, m) in zip(samples, enc):
-        ones = np.ones_like(m)
-        assert (model.generate(s.image[None], ids[None], None, vocab.bos_id, vocab.eos_id, 8)
-                == model.generate(s.image[None], ids[None], ones[None], vocab.bos_id,
-                                  vocab.eos_id, 8))
-    images = np.stack([s.image for s in samples[:4]])
-    kw_ids = np.stack([ids for ids, _ in enc])
-    assert (model.generate(images, kw_ids, None, vocab.bos_id, vocab.eos_id, 8)
-            == model.generate(images, kw_ids, np.ones(kw_ids.shape, dtype=bool),
-                              vocab.bos_id, vocab.eos_id, 8))
-
-
 @pytest.mark.parametrize("decode_batch", [5, 64])
 def test_decode_corpus_matches_per_sample_loop_with_keyword_dropout(
         trained_toy, monkeypatch, decode_batch):
@@ -375,13 +359,37 @@ def test_generate_sampling_is_seeded():
     kw_ids, kw_mask = D.encode_keyword_string(vocab, s.keywords, cfg.s_l)
     image, kw_ids, kw_mask = s.image[None], kw_ids[None], kw_mask[None]
     a = model.generate(image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id,
-                       max_len=8, mode="sample", temperature=1.5, seed=4)
+                       max_len=8, temperature=1.5, seed=4)
     b = model.generate(image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id,
-                       max_len=8, mode="sample", temperature=1.5, seed=4)
+                       max_len=8, temperature=1.5, seed=4)
     assert a == b
-    with pytest.raises(ValueError):
-        model.generate(image, kw_ids, kw_mask, vocab.bos_id, vocab.eos_id,
-                       max_len=8, mode="beam")
+
+
+def test_generate_temperature_zero_is_greedy_and_above_zero_samples():
+    cfg = toy_config()
+    model = ReportModel(cfg)
+    vocab, samples, _ = _batch(cfg)
+    s = samples[0]
+    kw_ids, kw_mask = D.encode_keyword_string(vocab, s.keywords, cfg.s_l)
+    # EOS -1 never comes, so every decode runs all 8 steps
+    args = (s.image[None], kw_ids[None], kw_mask[None], vocab.bos_id, -1, 8)
+    greedy = _greedy_uncached(model, s.image, kw_ids, kw_mask, vocab.bos_id, -1, 8)
+    assert model.generate(*args) == [greedy]                  # the default is 0
+    assert model.generate(*args, temperature=0.0, seed=3) == [greedy]
+    sampled = [model.generate(*args, temperature=5.0, seed=seed)[0] for seed in range(4)]
+    assert any(seq != greedy for seq in sampled)
+
+
+@pytest.mark.parametrize("temperature", [-1.0, float("nan"), float("inf")])
+def test_generate_rejects_negative_or_non_finite_temperature(temperature):
+    cfg = toy_config()
+    model = ReportModel(cfg)
+    vocab, samples, _ = _batch(cfg)
+    s = samples[0]
+    kw_ids, kw_mask = D.encode_keyword_string(vocab, s.keywords, cfg.s_l)
+    with pytest.raises(ValueError, match="temperature"):
+        model.generate(s.image[None], kw_ids[None], kw_mask[None], vocab.bos_id,
+                       vocab.eos_id, max_len=8, temperature=temperature)
 
 
 def test_generate_respects_max_len():

@@ -433,6 +433,17 @@ def test_checkpoint_with_an_old_extra_key_still_loads(tmp_path):
         np.testing.assert_array_equal(state.v[name], s2.v[name])
 
 
+def test_checkpoint_config_with_max_report_len_is_rejected(tmp_path):
+    # files written while the config had a max_report_len field carry it
+    model, state, _, tc = _tiny_run(1)
+    p = tmp_path / "old.ckpt"
+    TR.save_checkpoint(model, state, tc, str(p))
+    body = _set_config_value("max_report_len", 16)(p.read_bytes()[:-4])
+    p.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    with pytest.raises(TR.CheckpointError, match="max_report_len"):
+        TR.load_checkpoint(str(p))
+
+
 def _truncation_cuts(body, n_records=3):
     """Body lengths that end at each field boundary of the header, the
     metadata and the first records, inside multi-byte fields, and in the
