@@ -49,12 +49,12 @@ def bidirectional_cross_attention(
 
     v_p: (N, S_V, P), l_p: (N, S_L, P). Returns ((v2l, l2v), (w_v2l, w_l2v)):
     v2l rows are indexed by visual positions with content drawn from l_p
-    rows, and symmetrically for l2v; the w_* are the attention weights.
+    rows, and symmetrically for l2v; the w_* are the attention weights (arrays).
     ``l_mask`` masks padded language keys.
     """
     km = None if l_mask is None else np.asarray(l_mask, dtype=bool)[:, None, :]
-    v2l, w_v2l = nn.attention(v_p, l_p, l_p, mode, km)
-    l2v, w_l2v = nn.attention(l_p, v_p, v_p, mode)
+    v2l, w_v2l = T.attention(v_p, l_p, l_p, mode, km)
+    l2v, w_l2v = T.attention(l_p, v_p, v_p, mode)
     return (v2l, l2v), (w_v2l, w_l2v)
 
 

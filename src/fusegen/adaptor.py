@@ -84,7 +84,7 @@ def decoupled_attention(
     if l_mask is not None:
         vis = np.ones(x_v.shape[:2], dtype=bool)
         km = np.concatenate([vis, np.asarray(l_mask, dtype=bool)], axis=1)[:, None, :]
-    return nn.attention(q, k, v, cfg.attn_norm, km)[0]
+    return T.attention(q, k, v, cfg.attn_norm, km)[0]
 
 
 def adaptor_forward(

@@ -19,6 +19,7 @@ from .config import ModelConfig
 from .tensor import Tensor
 
 TEMPERATURE_FLOOR = 1e-3
+L2_EPS = 1e-12     # squared norms below this are degenerate rows
 
 
 def init_alignment(cfg: ModelConfig, rng: Optional[np.random.Generator]) -> dict:
@@ -38,12 +39,12 @@ def temperature(params: dict) -> Tensor:
     return T.log(T.exp(raw) + 1.0) + TEMPERATURE_FLOOR
 
 
-def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
+def l2_normalize(x: Tensor) -> Tensor:
     """Row-normalize; near-zero rows stay zero."""
     norm_sq = (x * x).sum(axis=-1, keepdims=True)
-    degenerate = norm_sq.data.reshape(-1) < eps
-    inv = T.pow_const(norm_sq + eps * eps, -0.5)
-    return x * T.mask_fill(inv, degenerate[:, None], 0.0)
+    degenerate = norm_sq.data.reshape(-1) < L2_EPS
+    inv = T.pow_const(norm_sq + L2_EPS * L2_EPS, -0.5)
+    return x * (inv * ~degenerate[:, None])
 
 
 def _masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:

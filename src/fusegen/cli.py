@@ -194,7 +194,7 @@ def cmd_generate(args) -> int:
         print(f"error: checkpoint {path} not found", file=sys.stderr)
         return 1
     model, _, train_cfg = TR.load_checkpoint(path)
-    vocab = D.default_vocab()
+    [vocab] = _build_data(model.cfg, train_cfg)
     sample = D.make_sample(args.sample_seed, args.sample_index,
                            side=model.cfg.image_side)
     keywords = args.keywords if args.keywords is not None else sample.keywords

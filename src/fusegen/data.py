@@ -152,8 +152,6 @@ class Batch:
     rep_in: np.ndarray     # (N, T) decoder input: BOS + tokens
     rep_tgt: np.ndarray    # (N, T) next-token targets: tokens + EOS
     rep_mask: np.ndarray   # (N, T) bool over targets
-    rep_ids: np.ndarray    # (N, T) report content ids (padded), for alignment
-    rep_content_mask: np.ndarray
 
     def __len__(self):
         return self.images.shape[0]
@@ -200,8 +198,6 @@ def make_batch(samples: Sequence[SyntheticSample], vocab: Vocab, s_l: int,
     rep_in = np.zeros((n, t), dtype=np.int64)
     rep_tgt = np.zeros((n, t), dtype=np.int64)
     rep_mask = np.zeros((n, t), dtype=bool)
-    rep_ids = np.zeros((n, t), dtype=np.int64)
-    rep_content = np.zeros((n, t), dtype=bool)
     for i, s in enumerate(samples):
         kw_ids[i], kw_mask[i] = encode_keyword_string(vocab, s.keywords, s_l)
         toks = vocab.encode(s.report)[:max_len]
@@ -210,6 +206,4 @@ def make_batch(samples: Sequence[SyntheticSample], vocab: Vocab, s_l: int,
         rep_in[i, : len(seq_in)] = seq_in
         rep_tgt[i, : len(seq_tgt)] = seq_tgt
         rep_mask[i, : len(seq_tgt)] = True
-        rep_ids[i, : len(toks)] = toks
-        rep_content[i, : len(toks)] = True
-    return Batch(images, kw_ids, kw_mask, rep_in, rep_tgt, rep_mask, rep_ids, rep_content)
+    return Batch(images, kw_ids, kw_mask, rep_in, rep_tgt, rep_mask)

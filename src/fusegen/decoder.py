@@ -16,7 +16,6 @@ into it.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Optional
 
 import numpy as np
@@ -129,8 +128,8 @@ def gqa_attention(x: Tensor, params: dict, cfg: ModelConfig, layer: int) -> Tens
 
     # (N, n_kv, group, T, hd) queries against (N, n_kv, 1, T, hd) keys/values
     km = ~np.triu(np.ones((t, t), dtype=bool), k=1)
-    out, _ = nn.attention(q.reshape(n, n_kv, n_q // n_kv, t, hd), k.reshape(n, n_kv, 1, t, hd),
-                          v.reshape(n, n_kv, 1, t, hd), cfg.attn_norm, km)
+    out, _ = T.attention(q.reshape(n, n_kv, n_q // n_kv, t, hd), k.reshape(n, n_kv, 1, t, hd),
+                         v.reshape(n, n_kv, 1, t, hd), cfg.attn_norm, km)
     return T.matmul(nn.merge_heads(out.reshape(n, n_q, t, hd)), params[f"{pre}.w_o"])
 
 
@@ -210,14 +209,14 @@ def decode_step(cache: KVCache, token_ids: np.ndarray) -> np.ndarray:
         q = T._rotate_np(heads(h @ w[f"{pre}.sa.w_q"], n_q), cos, sin)
         k[:, :, pos:t] = T._rotate_np(heads(h @ w[f"{pre}.sa.w_k"], n_kv), cos, sin)
         v[:, :, pos:t] = heads(h @ w[f"{pre}.sa.w_v"], n_kv)
-        out = _attention_np(q.reshape(n, n_kv, n_q // n_kv, 1, hd),
-                            k[:, :, :t].reshape(n, n_kv, 1, t, hd),
-                            v[:, :, :t].reshape(n, n_kv, 1, t, hd), cfg.attn_norm)
+        out, _ = T._attention_np(q.reshape(n, n_kv, n_q // n_kv, 1, hd),
+                                 k[:, :, :t].reshape(n, n_kv, 1, t, hd),
+                                 v[:, :, :t].reshape(n, n_kv, 1, t, hd), cfg.attn_norm)
         x = x + out.reshape(n, n_q * hd) @ w[f"{pre}.sa.w_o"]
 
         h = _rms_np(x, w[f"{pre}.rms2.g"])
         q = heads(h @ w[f"{pre}.ca.w_q"], n_q)
-        out = _attention_np(q, cache.mem_k[l], cache.mem_v[l], cfg.attn_norm, cache.blocked)
+        out = T._attention_np(q, cache.mem_k[l], cache.mem_v[l], cfg.attn_norm, cache.blocked)[0]
         x = x + out.reshape(n, n_q * hd) @ w[f"{pre}.ca.w_o"]
 
         h = _rms_np(x, w[f"{pre}.rms3.g"])
@@ -229,23 +228,7 @@ def decode_step(cache: KVCache, token_ids: np.ndarray) -> np.ndarray:
 
 def _rms_np(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """``T.rms_norm`` on arrays."""
-    return x * T._inv_rms(x, T._NORM_EPS) * gain
-
-
-def _attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, mode: str,
-                  blocked: Optional[np.ndarray] = None) -> np.ndarray:
-    """``nn.attention`` on arrays; ``blocked`` is True where a key is masked."""
-    logits = np.matmul(q, k.swapaxes(-1, -2)) * q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
-    if mode == "softmax":
-        if blocked is not None:
-            logits = np.where(blocked, -np.inf, logits)
-        return np.matmul(T._softmax_np(logits), v)
-    if mode != "sigmoid":
-        raise ValueError(f"unknown attention normalization {mode!r}")
-    weights = T._sigmoid_np(logits)
-    if blocked is not None:
-        weights = np.where(blocked, 0.0, weights)
-    return np.matmul(weights, v)
+    return x * T._inv_rms(x) * gain
 
 
 def cross_entropy(logits: Tensor, target_ids: np.ndarray, mask: np.ndarray):

@@ -55,13 +55,8 @@ def _check_pairs(hypotheses, references):
         raise ValueError("empty corpus")
 
 
-def bleu(hypotheses: Sequence[Sequence], references: Sequence[Sequence]) -> List[float]:
-    """Corpus BLEU-1..4 with BP = min(1, e^(1 - r/c))."""
-    _check_pairs(hypotheses, references)
-    return _bleu(hypotheses, references, _counts(hypotheses), _counts(references))
-
-
 def _bleu(hypotheses, references, hyp_counts, ref_counts) -> List[float]:
+    """Corpus BLEU-1..4 with BP = min(1, e^(1 - r/c))."""
     matches = [0] * MAX_N
     totals = [0] * MAX_N
     hyp_len = ref_len = 0
@@ -109,17 +104,12 @@ def rouge_l(hypotheses: Sequence[Sequence], references: Sequence[Sequence]) -> f
     return total / len(hypotheses)
 
 
-def cider(hypotheses: Sequence[Sequence], references: Sequence[Sequence]) -> float:
+def _cider(references, hyp_counts, ref_counts) -> float:
     """TF-IDF n-gram cosine (n = 1..4) averaged over orders, scaled by 10.
 
     IDF is computed over the reference corpus; a single-reference corpus has
     degenerate IDF and triggers a warning.
     """
-    _check_pairs(hypotheses, references)
-    return _cider(references, _counts(hypotheses), _counts(references))
-
-
-def _cider(references, hyp_counts, ref_counts) -> float:
     n_refs = len(references)
     if len({tuple(r) for r in references}) < 2:
         warnings.warn("CIDEr IDF is degenerate with fewer than 2 distinct references")
@@ -155,8 +145,9 @@ def _cider(references, hyp_counts, ref_counts) -> float:
 
 
 def score_corpus(hypotheses: Sequence[Sequence], references: Sequence[Sequence]) -> ScoreReport:
-    """BLEU, ROUGE-L and CIDEr of one corpus; the n-gram counts of each
-    sequence are taken once and shared by BLEU and CIDEr."""
+    """BLEU, ROUGE-L and CIDEr of one corpus, the package's one scorer; the
+    n-gram counts of each sequence are taken once and shared by BLEU and
+    CIDEr."""
     _check_pairs(hypotheses, references)
     hyp_counts, ref_counts = _counts(hypotheses), _counts(references)
     report = ScoreReport(

@@ -113,8 +113,9 @@ class ReportModel:
         l_align = Tensor(np.zeros(1, dtype=cfg.dtype))
         if cfg.use_alignment:
             f_emb = aln_mod.pool_fusion(f, self.params, row_mask=f_row_mask)
-            r_emb = aln_mod.embed_report(batch.rep_ids[:, :t], self.params,
-                                         mask=batch.rep_content_mask[:, :t])
+            # the report's content tokens: the decoder inputs after BOS
+            r_emb = aln_mod.embed_report(batch.rep_in[:, 1:t], self.params,
+                                         mask=batch.rep_mask[:, 1:t])
             tau = aln_mod.temperature(self.params)
             l_align = aln_mod.info_nce(f_emb, r_emb, tau)
 

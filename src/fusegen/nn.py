@@ -1,9 +1,10 @@
-"""Shared building blocks: parameter init, scaled dot-product attention, MHA."""
+"""Shared building blocks: parameter init, linear layers and multi-head
+attention on ``T.attention``."""
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -34,31 +35,6 @@ def init_bias(n: int) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     y = T.matmul(x, w)
     return y if b is None else y + b
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, mode: str,
-              key_mask: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
-    """Scaled dot-product attention over the trailing two axes.
-
-    q: (..., Sq, dh), k and v: (..., Sk, dh); leading axes broadcast and the
-    logits are scaled by 1/sqrt(dh). mode "softmax": row-stochastic weights,
-    masked keys get -inf logits. mode "sigmoid": independent per-key gates in
-    (0,1), masked keys zeroed. ``key_mask`` is boolean, True = valid,
-    broadcastable to the (..., Sq, Sk) logits. Returns (out, weights).
-    """
-    logits = T.matmul(q, k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
-    blocked = None if key_mask is None else ~np.asarray(key_mask, dtype=bool)
-    if mode == "softmax":
-        if blocked is not None:
-            logits = T.mask_fill(logits, blocked, -np.inf)
-        w = T.softmax_rows(logits)
-    elif mode == "sigmoid":
-        w = T.sigmoid(logits)
-        if blocked is not None:
-            w = T.mask_fill(w, blocked, 0.0)
-    else:
-        raise ValueError(f"unknown attention normalization {mode!r}")
-    return T.matmul(w, v), w
 
 
 def init_mha(rng: Optional[np.random.Generator], d: int) -> dict:
@@ -105,7 +81,7 @@ def mha(
     k = split_heads(linear(memory, params["w_k"]), n_heads)
     v = split_heads(linear(memory, params["w_v"]), n_heads)
     km = None if key_mask is None else np.asarray(key_mask, dtype=bool)[:, None, None, :]
-    out, _ = attention(q, k, v, mode, km)
+    out, _ = T.attention(q, k, v, mode, km)
     return linear(merge_heads(out), params["w_o"])
 
 

@@ -6,12 +6,12 @@ stays float32, anything else becomes float64, and Python-scalar operands take
 the dtype of the tensor they meet, so a float32 graph stays float32. The
 operators are ``+``, ``*``, unary ``-`` and basic indexing (ints, slices,
 ``...``); every other op is a function of this module. ``softmax_rows``,
-``nll``, ``layer_norm``, ``rms_norm`` and ``rotate_pairs`` are fused: one node
-each, with a closed-form backward. ``backward`` replays the tape in reverse
-topological order, accumulating gradients over fan-out, and frees each node
-as soon as its closure has run. The tape is single-use: a second
-``backward`` on the same graph raises. Inside
-``no_grad()`` ops record nothing, which is how inference runs.
+``nll``, ``layer_norm``, ``rms_norm``, ``rotate_pairs`` and ``attention`` are
+fused: one node each, with a closed-form backward. ``backward`` replays the
+tape in reverse topological order, accumulating gradients over fan-out, and
+frees each node as soon as its closure has run. The tape is single-use: a
+second ``backward`` on the same graph raises. Inside ``no_grad()`` ops record
+nothing, which is how inference runs.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ __all__ = [
     "layer_norm",
     "rms_norm",
     "rotate_pairs",
+    "attention",
     "embedding",
-    "mask_fill",
     "grad_check",
     "grad_check_params",
 ]
@@ -434,17 +434,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make(data, (table,), backward)
 
 
-def mask_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
-    """Set positions where boolean ``mask`` is True to ``value`` (no gradient there)."""
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
-    data = np.where(mask, value, a.data)
-
-    def backward(g):
-        a._accum(np.where(mask, 0.0, g))
-
-    return _make(data, (a,), backward)
-
-
 # ---------------------------------------------------------------------
 # normalizations
 # ---------------------------------------------------------------------
@@ -506,19 +495,19 @@ def nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
     return _make((-logp[picked]).sum(), (logits,), backward)
 
 
-_NORM_EPS = 1e-5   # the default eps of layer_norm and rms_norm
+_NORM_EPS = 1e-5   # the eps of layer_norm and rms_norm
 
 
-def _inv_rms(v: np.ndarray, eps: float) -> np.ndarray:
-    """(mean(v^2, trailing axis) + eps)^-1/2, keepdims."""
-    return ((v * v).sum(axis=-1, keepdims=True) * (1.0 / v.shape[-1]) + eps) ** -0.5
+def _inv_rms(v: np.ndarray) -> np.ndarray:
+    """(mean(v^2, trailing axis) + _NORM_EPS)^-1/2, keepdims."""
+    return ((v * v).sum(axis=-1, keepdims=True) * (1.0 / v.shape[-1]) + _NORM_EPS) ** -0.5
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _NORM_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row (trailing axis) standardization followed by gain and bias."""
     d = x.data
     xc = d - d.sum(axis=-1, keepdims=True) * (1.0 / d.shape[-1])
-    inv = _inv_rms(xc, eps)
+    inv = _inv_rms(xc)
     xhat = xc * inv
 
     def backward(g):
@@ -534,9 +523,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = _NORM_EPS) ->
     return _make(xhat * gain.data + bias.data, (x, gain, bias), backward)
 
 
-def rms_norm(x: Tensor, gain: Tensor, eps: float = _NORM_EPS) -> Tensor:
+def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     """x / sqrt(mean(x^2) + eps) over the trailing axis, then elementwise gain."""
-    inv = _inv_rms(x.data, eps)
+    inv = _inv_rms(x.data)
     xhat = x.data * inv
 
     def backward(g):
@@ -568,6 +557,54 @@ def rotate_pairs(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
         x._accum(_rotate_np(g, cos, -sin))
 
     return _make(_rotate_np(x.data, cos, sin), (x,), backward)
+
+
+def _attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, mode: str,
+                  blocked: Optional[np.ndarray] = None):
+    """(out, weights) of ``attention`` on arrays; ``blocked`` is True at masked keys."""
+    logits = np.matmul(q, k.swapaxes(-1, -2)) * q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
+    if mode == "softmax":
+        w = _softmax_np(logits if blocked is None else np.where(blocked, -np.inf, logits))
+    elif mode == "sigmoid":
+        w = _sigmoid_np(logits)
+        w = w if blocked is None else np.where(blocked, 0.0, w)
+    else:
+        raise ValueError(f"unknown attention normalization {mode!r}")
+    return np.matmul(w, v), w
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mode: str,
+              key_mask: Optional[np.ndarray] = None):
+    """Scaled dot-product attention over the trailing two axes.
+
+    q: (..., Sq, dh), k and v: (..., Sk, dh); leading axes broadcast and the
+    logits are scaled by 1/sqrt(dh). mode "softmax": row-stochastic weights,
+    masked keys get -inf logits. mode "sigmoid": independent per-key gates in
+    (0,1), masked keys zeroed. ``key_mask`` is boolean, True = valid,
+    broadcastable to the (..., Sq, Sk) logits. Returns (out, weights), the
+    weights as an array. The backward replays the numpy calls of the composed
+    matmul, scale, mask, normalize, matmul chain in order, so it rounds alike.
+    """
+    if q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"attention query and key widths differ: {q.shape} vs {k.shape}")
+    blocked = None if key_mask is None else ~np.asarray(key_mask, dtype=bool)
+    out, w = _attention_np(q.data, k.data, v.data, mode, blocked)
+    scale = q.data.dtype.type(1.0 / math.sqrt(q.shape[-1]))
+
+    def backward(g):
+        if v.requires_grad:
+            v._accum(_unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), v.shape))
+        gw = _unbroadcast(np.matmul(g, np.swapaxes(v.data, -1, -2)), w.shape)
+        gl = (w * (gw - (gw * w).sum(axis=-1, keepdims=True)) if mode == "softmax"
+              else gw * w * (1.0 - w))
+        gl = (gl if blocked is None else np.where(blocked, 0.0, gl)) * scale
+        if q.requires_grad:
+            q._accum(_unbroadcast(np.matmul(gl, k.data), q.shape))
+        if k.requires_grad:
+            gk = np.matmul(np.swapaxes(q.data, -1, -2), gl)
+            k._accum(np.swapaxes(_unbroadcast(gk, k.shape[:-2] + k.shape[:-3:-1]), -1, -2))
+
+    return _make(out, (q, k, v), backward), w
 
 
 # ---------------------------------------------------------------------

@@ -140,8 +140,7 @@ def check_cross_entropy(rng: np.random.Generator) -> float:
                         Tensor(rng.normal(0, 1, (n, t, v))))
 
 
-def check_end_to_end(mode: str, seed: int = 0, lambda_align: float = 0.5,
-                     sample_per_tensor: int = 4, float32: bool = False) -> float:
+def check_end_to_end(mode: str, seed: int = 0, float32: bool = False) -> float:
     """Composite-loss gradient over all model parameters, sampled coordinates.
 
     With ``float32`` the analytic grads come from a float32 twin of the toy
@@ -149,6 +148,7 @@ def check_end_to_end(mode: str, seed: int = 0, lambda_align: float = 0.5,
     float64 model holding those float32 values cast back up: differences
     taken in float32 would drown in its rounding.
     """
+    lambda_align, sample_per_tensor = 0.5, 4
     cfg = toy_config(attn_norm=mode, seed=seed)
     model = ReportModel(cfg)
     vocab = data_mod.default_vocab()

@@ -6,7 +6,10 @@ before the op became a single node with a closed-form backward, from ``add``,
 forward passes of ``rms_norm``, ``layer_norm`` and ``rope_apply`` run the same
 arithmetic in the same order, so they match these oracles bit for bit;
 ``nll`` matches the one-hot-weighted sum of ``-log(softmax_rows(x))`` wherever
-the latter is finite.
+the latter is finite. ``composed_attention`` masks without ``np.where``: it
+adds a -inf/0 constant to the softmax logits or multiplies the sigmoid gates
+by a 0/1 constant, which leaves the unmasked entries' values unchanged, so the
+fused ``attention`` forward matches it bit for bit as well.
 """
 
 import numpy as np
@@ -50,3 +53,12 @@ def composed_rope(x, start_pos=0):
     pair_shape = out_r.shape + (1,)
     stacked = T.concat([out_r.reshape(*pair_shape), out_i.reshape(*pair_shape)], axis=-1)
     return stacked.reshape(*x.shape)
+
+
+def composed_attention(q, k, v, mode, key_mask):
+    logits = T.matmul(q, k.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
+    if mode == "softmax":
+        w = T.softmax_rows(logits + np.where(key_mask, 0.0, -np.inf))
+    else:
+        w = T.sigmoid(logits) * key_mask
+    return T.matmul(w, v)

@@ -69,9 +69,9 @@ def test_attention_rows_are_stochastic():
     cfg, params, v_e, l_e = _setup()
     v_p, l_p = A.project_modalities(v_e, l_e, params)
     _, (w_v2l, w_l2v) = A.bidirectional_cross_attention(v_p, l_p, "softmax")
-    np.testing.assert_allclose(w_v2l.data.sum(axis=-1), 1.0, atol=1e-9)
-    np.testing.assert_allclose(w_l2v.data.sum(axis=-1), 1.0, atol=1e-9)
-    assert (w_v2l.data >= 0).all() and (w_l2v.data >= 0).all()
+    np.testing.assert_allclose(w_v2l.sum(axis=-1), 1.0, atol=1e-9)
+    np.testing.assert_allclose(w_l2v.sum(axis=-1), 1.0, atol=1e-9)
+    assert (w_v2l >= 0).all() and (w_l2v >= 0).all()
 
 
 def test_v2l_rows_in_convex_hull_of_language_rows():
@@ -93,15 +93,15 @@ def test_language_mask_removes_padded_keys():
     l_mask = np.array([[True, True, False], [True, True, True]])
     (_, _), (w_v2l, _) = A.bidirectional_cross_attention(
         v_p, l_p, "softmax", l_mask=l_mask)
-    assert (w_v2l.data[0, :, 2] == 0.0).all()
-    np.testing.assert_allclose(w_v2l.data.sum(axis=-1), 1.0, atol=1e-9)
+    assert (w_v2l[0, :, 2] == 0.0).all()
+    np.testing.assert_allclose(w_v2l.sum(axis=-1), 1.0, atol=1e-9)
 
 
 def test_sigmoid_mode_weights_are_gates():
     cfg, params, v_e, l_e = _setup("sigmoid")
     v_p, l_p = A.project_modalities(v_e, l_e, params)
     _, (w_v2l, _) = A.bidirectional_cross_attention(v_p, l_p, "sigmoid")
-    assert (w_v2l.data > 0).all() and (w_v2l.data < 1).all()
+    assert (w_v2l > 0).all() and (w_v2l < 1).all()
 
 
 def test_width_mismatch_raises():
@@ -128,5 +128,5 @@ def test_sigmoid_fully_masked_row_gets_zero_weights():
     l_mask = np.array([[False, False, False], [True, True, False]])
     (v2l, _), (w_v2l, _) = A.bidirectional_cross_attention(
         v_p, l_p, "sigmoid", l_mask=l_mask)
-    assert (w_v2l.data[0] == 0.0).all() and (v2l.data[0] == 0.0).all()
-    assert (w_v2l.data[1, :, :2] > 0).all() and (w_v2l.data[1, :, 2] == 0.0).all()
+    assert (w_v2l[0] == 0.0).all() and (v2l.data[0] == 0.0).all()
+    assert (w_v2l[1, :, :2] > 0).all() and (w_v2l[1, :, 2] == 0.0).all()

@@ -241,6 +241,16 @@ def test_generate_warns_on_keywords_that_do_not_fit(tmp_path, capsys):
     assert "dropped: ['halo']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "generate"])
+def test_checkpoint_below_the_task_vocabulary_exits_2_with_one_line(command, tmp_path, capsys):
+    path = str(tmp_path / "model.ckpt")
+    model = ReportModel(toy_config(vocab_size=8))      # the task has 25 words
+    TR.save_checkpoint(model, TR.AdamState(), TrainConfig(), path)
+    assert cli.main([command, "--checkpoint", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: vocab_size=8 below task vocabulary 25\n"
+
+
 def test_generate_sampling_flags(tmp_path, capsys):
     cfg_path = _toy_config_file(tmp_path)
     out = str(tmp_path / "run")

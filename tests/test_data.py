@@ -188,8 +188,9 @@ def test_make_batch_teacher_forcing_layout():
         assert batch.rep_tgt[i, n] == v.eos_id
         assert batch.rep_mask[i, :n + 1].all()
         assert not batch.rep_mask[i, n + 1:].any()
-        assert list(batch.rep_ids[i, :n]) == toks
-        assert batch.rep_content_mask[i].sum() == n
+        # alignment reads the content tokens as the inputs after BOS
+        assert list(batch.rep_in[i, 1:][batch.rep_mask[i, 1:]]) == toks
+        assert not batch.rep_in[i, n + 1:].any()
 
 
 def test_make_batch_truncates_to_max_len():
@@ -197,7 +198,7 @@ def test_make_batch_truncates_to_max_len():
     samples = D.synth_generate(2, seed=4, side=16)
     batch = D.make_batch(samples, v, s_l=4, max_len=3)
     assert batch.rep_in.shape[1] == 4
-    assert (batch.rep_content_mask.sum(axis=1) <= 3).all()
+    assert (batch.rep_mask[:, 1:].sum(axis=1) <= 3).all()
 
 
 def test_make_batch_rejects_empty():

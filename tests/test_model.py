@@ -137,8 +137,7 @@ def _repad(batch, s_l, t):
     def pad(a, width):
         return np.pad(a, [(0, 0), (0, width - a.shape[1])])
     return D.Batch(batch.images, pad(batch.kw_ids, s_l), pad(batch.kw_mask, s_l),
-                   *(pad(a, t) for a in (batch.rep_in, batch.rep_tgt, batch.rep_mask,
-                                         batch.rep_ids, batch.rep_content_mask)))
+                   *(pad(a, t) for a in (batch.rep_in, batch.rep_tgt, batch.rep_mask)))
 
 
 def _losses_at_full_extent(model, batch, lambda_align):
@@ -147,8 +146,8 @@ def _losses_at_full_extent(model, batch, lambda_align):
     f, f_row_mask = model.fuse(batch.images, batch.kw_ids, batch.kw_mask)
     tau = ALN.temperature(model.params)
     l_align = ALN.info_nce(ALN.pool_fusion(f, model.params, row_mask=f_row_mask),
-                           ALN.embed_report(batch.rep_ids, model.params,
-                                            mask=batch.rep_content_mask), tau)
+                           ALN.embed_report(batch.rep_in[:, 1:], model.params,
+                                            mask=batch.rep_mask[:, 1:]), tau)
     logits = DEC.decoder_forward(batch.rep_in, f, f_row_mask, model.params, model.cfg)
     l_ce, _ = DEC.cross_entropy(logits, batch.rep_tgt, batch.rep_mask)
     return l_ce + l_align * lambda_align

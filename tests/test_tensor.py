@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from op_oracles import composed_layer_norm, composed_nll, composed_rms_norm, composed_rope
+from op_oracles import (composed_attention, composed_layer_norm, composed_nll, composed_rms_norm,
+                        composed_rope)
 
 from fusegen import decoder as DEC
 from fusegen import tensor as T
@@ -139,13 +140,6 @@ def test_embedding_lookup_and_grad():
         T.embedding(table, np.array([6]))
 
 
-def test_mask_fill_blocks_gradient():
-    x = Tensor(RNG.normal(0, 1, (2, 3)), requires_grad=True)
-    mask = np.array([[True, False, False], [False, False, True]])
-    T.mask_fill(x, mask, -1.0).sum().backward()
-    np.testing.assert_allclose(x.grad, (~mask).astype(float))
-
-
 # ---------------------------------------------------------------------
 # normalizations
 # ---------------------------------------------------------------------
@@ -186,7 +180,7 @@ def test_layer_norm_matches_numpy_and_grad():
     x = RNG.normal(0, 2, (4, 6))
     g = Tensor(RNG.normal(1, 0.3, 6))
     b = Tensor(RNG.normal(0, 0.3, 6))
-    out = T.layer_norm(Tensor(x), g, b, 1e-5).data
+    out = T.layer_norm(Tensor(x), g, b).data
     ref = (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + 1e-5)
     np.testing.assert_allclose(out, ref * g.data + b.data, atol=1e-12)
     r = Tensor(RNG.normal(0, 1, (4, 6)))
@@ -196,7 +190,7 @@ def test_layer_norm_matches_numpy_and_grad():
 def test_rms_norm_matches_numpy_and_grad():
     x = RNG.normal(0, 2, (4, 6))
     g = Tensor(RNG.normal(1, 0.3, 6))
-    out = T.rms_norm(Tensor(x), g, 1e-5).data
+    out = T.rms_norm(Tensor(x), g).data
     ref = x / np.sqrt((x * x).mean(-1, keepdims=True) + 1e-5)
     np.testing.assert_allclose(out, ref * g.data, atol=1e-12)
     r = Tensor(RNG.normal(0, 1, (4, 6)))
@@ -221,6 +215,9 @@ def test_nll_stays_finite_at_large_gaps():
 
 _NLL_TARGETS = np.random.default_rng(1).integers(0, 6, (2, 3, 5))
 _NLL_MASK = np.random.default_rng(2).random((2, 3, 5)) < 0.7
+# (2, 1, 1, 7) keys, broadcast over 3 query heads and 5 queries; no row is fully masked
+_KEY_MASK = np.array([[1, 1, 0, 1, 1, 1, 0], [1, 0, 1, 1, 1, 1, 1]], bool)[:, None, None, :]
+_KV = {"k": (2, 1, 7, 6), "v": (2, 1, 7, 6)}
 _FUSED = {
     # name: (fused op, composed oracle, parameter shapes)
     "rms_norm": (lambda x, p: T.rms_norm(x, p["g"]),
@@ -231,8 +228,12 @@ _FUSED = {
                    lambda x, p: composed_rope(x, 3), {}),
     "nll": (lambda x, p: T.nll(x, _NLL_TARGETS, _NLL_MASK),
             lambda x, p: composed_nll(x, _NLL_TARGETS, _NLL_MASK), {}),
+    **{f"attention_{mode}": (
+        lambda x, p, mode=mode: T.attention(x, p["k"], p["v"], mode, _KEY_MASK)[0],
+        lambda x, p, mode=mode: composed_attention(x, p["k"], p["v"], mode, _KEY_MASK), _KV)
+       for mode in ("softmax", "sigmoid")},
 }
-_BITWISE = {"rms_norm", "layer_norm", "rope_apply"}
+_BITWISE = {"rms_norm", "layer_norm", "rope_apply", "attention_softmax", "attention_sigmoid"}
 
 
 def _fused_case(name, dtype=np.float64):
