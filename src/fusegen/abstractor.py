@@ -17,7 +17,7 @@ from .config import ModelConfig
 from .tensor import Tensor
 
 
-def init_abstractor(cfg: ModelConfig, rng: Optional[np.random.Generator]) -> dict:
+def init_abstractor(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     return {
         "abs.v.w0": nn.init_weight(rng, cfg.e_v, cfg.e_v),
         "abs.v.b0": nn.init_bias(cfg.e_v),

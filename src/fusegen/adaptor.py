@@ -1,16 +1,17 @@
-"""Second fusion stage: gated unified sequence plus decoupled cross-modal attention.
+"""Second fusion stage: gated modality segments plus decoupled cross-modal attention.
 
-The flattened visual grid is projected to the language width and concatenated
-with the keyword embeddings. A learnable per-position gate (sigmoid of raw
-logits) scales each row, the two segments are normalized by modality-specific
-LayerNorms, and attention runs with one shared query projection but
+The flattened visual grid is projected to the language width. A learnable
+per-position gate (sigmoid of raw logits) scales each row of each segment: the
+visual rows by its first S_V values, the keyword rows by the values that
+follow. The two segments are normalized by modality-specific LayerNorms, and
+attention runs over their rows together with one shared query projection but
 segment-specific key/value projections.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -24,7 +25,7 @@ def _inv_sigmoid(y: float) -> float:
     return math.log(y / (1.0 - y))
 
 
-def init_adaptor(cfg: ModelConfig, rng: Optional[np.random.Generator]) -> dict:
+def init_adaptor(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     # gate logits start biased low on the visual segment, high on the language
     # segment; the constraint is a soft prior, not a hard clamp
     raw = np.full(cfg.s_v + cfg.s_l, _inv_sigmoid(0.1))
@@ -44,21 +45,6 @@ def init_adaptor(cfg: ModelConfig, rng: Optional[np.random.Generator]) -> dict:
         "adp.w_vl": nn.init_weight(rng, cfg.e_l, cfg.p),
     }
     return params
-
-
-def build_unified_input(v_e: Tensor, l_e: Tensor, params: dict) -> Tensor:
-    """Project visual rows to the language width and stack both segments."""
-    v_rows = nn.linear(v_e, params["adp.proj.w"], params["adp.proj.b"])
-    return T.concat([v_rows, l_e], axis=-2)
-
-
-def apply_modality_indicator(x: Tensor, raw: Tensor, s_v: int) -> Tuple[Tensor, Tensor]:
-    """Scale each row by its position's sigmoid gate and split at s_v into
-    (x_v, x_l)."""
-    if raw.shape[-1] != x.shape[-2]:
-        raise T.ShapeError(f"indicator length {raw.shape[-1]} != sequence height {x.shape[-2]}")
-    xp = x * T.sigmoid(raw).reshape(-1, 1)
-    return xp[:, :s_v, :], xp[:, s_v:, :]
 
 
 def decoupled_attention(
@@ -94,11 +80,9 @@ def adaptor_forward(
     cfg: ModelConfig,
     l_mask: Optional[np.ndarray] = None,
 ) -> Tensor:
-    """F2: (N, S_V + S, P) for S <= S_L keyword rows; the gate takes its
-    first S_V + S logits."""
-    x = build_unified_input(v_e, l_e, params)
-    raw = params["adp.ind.raw"]
-    if l_e.shape[-2] < cfg.s_l:     # a keyword segment trimmed to its real columns
-        raw = raw[: cfg.s_v + l_e.shape[-2]]
-    x_v, x_l = apply_modality_indicator(x, raw, cfg.s_v)
+    """F2: (N, S_V + S, P) for S <= S_L keyword rows. The visual rows take the
+    gate's first S_V values and the keyword rows the next S."""
+    gate = T.sigmoid(params["adp.ind.raw"])
+    x_v = nn.linear(v_e, params["adp.proj.w"], params["adp.proj.b"]) * gate[:cfg.s_v].reshape(-1, 1)
+    x_l = l_e * gate[cfg.s_v:cfg.s_v + l_e.shape[-2]].reshape(-1, 1)
     return decoupled_attention(x_v, x_l, params, cfg, l_mask)

@@ -9,8 +9,6 @@ batch (negatives over reports only, as printed).
 from __future__ import annotations
 
 import math
-from typing import Optional
-
 import numpy as np
 
 from . import nn
@@ -22,7 +20,7 @@ TEMPERATURE_FLOOR = 1e-3
 L2_EPS = 1e-12     # squared norms below this are degenerate rows
 
 
-def init_alignment(cfg: ModelConfig, rng: Optional[np.random.Generator]) -> dict:
+def init_alignment(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     return {
         "aln.pool.w": nn.init_weight(rng, cfg.p, cfg.d_align),
         "aln.pool.b": nn.init_bias(cfg.d_align),

@@ -40,32 +40,14 @@ class Vocab:
     """Word vocabulary: the reserved tokens at fixed ids, then ``words`` in
     order."""
 
+    pad_id, bos_id, eos_id, sep_id, unk_id = range(len(RESERVED))
+
     def __init__(self, words: Sequence[str]):
         self.id_to_word: List[str] = list(RESERVED) + [w for w in words if w not in RESERVED]
         self.word_to_id = {w: i for i, w in enumerate(self.id_to_word)}
 
     def __len__(self):
         return len(self.id_to_word)
-
-    @property
-    def pad_id(self):
-        return self.word_to_id[PAD]
-
-    @property
-    def bos_id(self):
-        return self.word_to_id[BOS]
-
-    @property
-    def eos_id(self):
-        return self.word_to_id[EOS]
-
-    @property
-    def sep_id(self):
-        return self.word_to_id[SEP]
-
-    @property
-    def unk_id(self):
-        return self.word_to_id[UNK]
 
     def encode(self, text: str) -> List[int]:
         return [self.word_to_id.get(w, self.unk_id) for w in text.split()]
@@ -164,7 +146,7 @@ def max_keywords(s_l: int) -> int:
 
 
 def encode_keyword_string(vocab: Vocab, keywords: str, s_l: int,
-                          drop_rng: Optional[np.random.Generator] = None,
+                          drop_rng: np.random.Generator = None,
                           dropout: float = 0.0):
     """Tokenize [SEP]-joined keywords into a fixed-length padded row. Only
     the first ``max_keywords(s_l)`` keywords are kept, so the row never

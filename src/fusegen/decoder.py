@@ -16,7 +16,6 @@ into it.
 from __future__ import annotations
 
 import functools
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .config import ModelConfig
 from .tensor import Tensor
 
 
-def init_decoder(cfg: ModelConfig, rng: Optional[np.random.Generator]) -> dict:
+def init_decoder(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     d, hd = cfg.dec_d, cfg.head_dim
     params = {
         "dec.embed": nn.init_embedding(rng, cfg.vocab_size, d),

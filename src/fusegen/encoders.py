@@ -10,8 +10,6 @@ encoder over [SEP]-joined keyword tokens.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from . import nn
@@ -24,7 +22,7 @@ from .tensor import Tensor
 # image encoder
 # ---------------------------------------------------------------------
 
-def init_image_encoder(cfg: ModelConfig, rng: Optional[np.random.Generator]) -> dict:
+def init_image_encoder(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     chans = [1, max(4, cfg.e_v // 4), max(4, cfg.e_v // 2), cfg.e_v]  # grey-scale input
     params = {}
     for i in range(3):
@@ -68,7 +66,7 @@ def encode_image(images: np.ndarray, params: dict, cfg: ModelConfig) -> Tensor:
 # keyword encoder
 # ---------------------------------------------------------------------
 
-def init_keyword_encoder(cfg: ModelConfig, rng: Optional[np.random.Generator]) -> dict:
+def init_keyword_encoder(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     d = cfg.e_l
     params = {"kw.embed": nn.init_embedding(rng, cfg.vocab_size, d)}
     for l in range(cfg.enc_layers):

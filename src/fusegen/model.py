@@ -39,11 +39,11 @@ def _extent(mask: np.ndarray) -> int:
 
 
 class ReportModel:
-    def __init__(self, cfg: ModelConfig, *, _random_init: bool = True):
-        # _random_init=False leaves every parameter zero: the layout that
-        # load_checkpoint fills, without drawing an init it would overwrite
+    def __init__(self, cfg: ModelConfig, *, _rng=None):
+        # _rng replaces the seeded generator: load_checkpoint passes one that
+        # sizes the parameter layout it fills without drawing or allocating
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed) if _random_init else None
+        rng = np.random.default_rng(cfg.seed) if _rng is None else _rng
         params: Dict[str, Tensor] = {}
         params.update(encoders.init_image_encoder(cfg, rng))
         if cfg.use_keywords:

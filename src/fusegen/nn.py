@@ -12,18 +12,15 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-def _normal(rng: Optional[np.random.Generator], std: float, shape: tuple) -> Tensor:
-    # without a generator: zeros, the parameter layout alone for a
-    # checkpoint load to fill
-    data = np.zeros(shape) if rng is None else rng.normal(0.0, std, size=shape)
-    return Tensor(data, requires_grad=True)
+def _normal(rng: np.random.Generator, std: float, shape: tuple) -> Tensor:
+    return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
 
 
-def init_weight(rng: Optional[np.random.Generator], n_in: int, n_out: int) -> Tensor:
+def init_weight(rng: np.random.Generator, n_in: int, n_out: int) -> Tensor:
     return _normal(rng, math.sqrt(2.0 / (n_in + n_out)), (n_in, n_out))
 
 
-def init_embedding(rng: Optional[np.random.Generator], rows: int, cols: int,
+def init_embedding(rng: np.random.Generator, rows: int, cols: int,
                    std: float = 0.08) -> Tensor:
     return _normal(rng, std, (rows, cols))
 
@@ -37,7 +34,7 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return y if b is None else y + b
 
 
-def init_mha(rng: Optional[np.random.Generator], d: int) -> dict:
+def init_mha(rng: np.random.Generator, d: int) -> dict:
     return {
         "w_q": init_weight(rng, d, d),
         "w_k": init_weight(rng, d, d),

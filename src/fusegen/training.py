@@ -9,6 +9,7 @@ of (seed, step) so an interrupted run resumes on the same curve.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -186,6 +187,22 @@ def _unpack(fmt: str, buf: memoryview, off: int):
     return struct.unpack_from(fmt, buf, off), end
 
 
+class _Layout:
+    """Stands in for the init generator of the model a checkpoint fills: each
+    weight it draws is a zero-stride view charged against ``budget`` bytes,
+    so a config whose weights outgrow the file fails before anything of
+    their size is allocated."""
+
+    def __init__(self, budget: int, dtype: str):
+        self.left, self.zero = budget, np.zeros((), dtype)
+
+    def normal(self, loc, scale, size):
+        self.left -= math.prod(size) * self.zero.itemsize
+        if self.left < 0:
+            raise CheckpointError("the config implies more parameter bytes than the file holds")
+        return np.broadcast_to(self.zero, size)
+
+
 def load_checkpoint(path: str):
     """Returns (model, adam_state, train_cfg); bit-identical round-trip.
 
@@ -220,7 +237,10 @@ def load_checkpoint(path: str):
         model_cfg, train_cfg = config_from_dict(cfg_dict)
     except ConfigError as exc:
         raise CheckpointError(f"invalid checkpoint config: {exc}") from exc
-    model = ReportModel(model_cfg, _random_init=False)
+    # gains, biases and the gate stay real arrays: an earlier weight draw has
+    # charged each of their widths except the gate's s_l slots, charged here
+    gate_bytes = model_cfg.use_adaptor * model_cfg.s_l * np.dtype(model_cfg.dtype).itemsize
+    model = ReportModel(model_cfg, _rng=_Layout(len(raw) - gate_bytes, model_cfg.dtype))
     layout = {f"{pre}{name}": p.data for name, p in model.params.items()
               for pre in ("", "adam.m.", "adam.v.")}
 

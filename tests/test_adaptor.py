@@ -5,7 +5,7 @@ import pytest
 
 from fusegen import adaptor as AD
 from fusegen import tensor as T
-from fusegen.tensor import ShapeError, Tensor
+from fusegen.tensor import Tensor
 from fusegen.verify import toy_config
 
 RNG = np.random.default_rng(17)
@@ -26,66 +26,79 @@ def test_gate_initialization_targets():
     np.testing.assert_allclose(gate[cfg.s_v:], 0.9, atol=1e-12)
 
 
-def test_unified_input_stacks_segments():
+def _gated_segments(monkeypatch, v_e, l_e, params, cfg):
+    """The (x_v, x_l) that adaptor_forward hands to decoupled_attention."""
+    seen = []
+    attend = AD.decoupled_attention
+
+    def spy(x_v, x_l, *args, **kwargs):
+        seen.append((x_v, x_l))
+        return attend(x_v, x_l, *args, **kwargs)
+
+    monkeypatch.setattr(AD, "decoupled_attention", spy)
+    AD.adaptor_forward(v_e, l_e, params, cfg)
+    return seen[0]
+
+
+def test_unified_input_stacks_segments(monkeypatch):
     cfg, params, v_e, l_e = _setup()
-    x = AD.build_unified_input(v_e, l_e, params)
-    assert x.shape == (2, cfg.s_v + cfg.s_l, cfg.e_l)
+    x_v, x_l = _gated_segments(monkeypatch, v_e, l_e, params, cfg)
+    assert x_v.shape == (2, cfg.s_v, cfg.e_l) and x_l.shape == (2, cfg.s_l, cfg.e_l)
+    gate = T.sigmoid(params["adp.ind.raw"]).data[:, None]
     expect_v = v_e.data @ params["adp.proj.w"].data + params["adp.proj.b"].data
-    np.testing.assert_allclose(x.data[:, :cfg.s_v], expect_v, atol=1e-12)
-    np.testing.assert_allclose(x.data[:, cfg.s_v:], l_e.data, atol=1e-12)
+    np.testing.assert_allclose(x_v.data, expect_v * gate[:cfg.s_v], atol=1e-12)
+    np.testing.assert_allclose(x_l.data, l_e.data * gate[cfg.s_v:], atol=1e-12)
 
 
-def test_indicator_scales_rows():
+def test_indicator_scales_rows(monkeypatch):
+    """A keyword segment of S < S_L rows takes the S gate values after S_V."""
     cfg, params, v_e, l_e = _setup()
-    x = AD.build_unified_input(v_e, l_e, params)
-    x_v, x_l = AD.apply_modality_indicator(x, params["adp.ind.raw"], cfg.s_v)
-    gate = T.sigmoid(params["adp.ind.raw"])
-    np.testing.assert_allclose(x_v.data, x.data[:, :cfg.s_v] * gate.data[:cfg.s_v, None],
-                               atol=1e-12)
-    np.testing.assert_allclose(x_l.data, x.data[:, cfg.s_v:] * gate.data[cfg.s_v:, None],
-                               atol=1e-12)
-
-
-def test_indicator_length_mismatch_raises():
-    cfg, params, v_e, l_e = _setup()
-    x = AD.build_unified_input(v_e, l_e, params)
-    with pytest.raises(ShapeError):
-        AD.apply_modality_indicator(x, Tensor(np.zeros(3)), cfg.s_v)
+    params["adp.ind.raw"].data[:] = RNG.normal(0, 1, cfg.s_v + cfg.s_l)
+    gate = T.sigmoid(params["adp.ind.raw"]).data[:, None]
+    expect_v = v_e.data @ params["adp.proj.w"].data + params["adp.proj.b"].data
+    for s in (1, 2):
+        l_s = Tensor(l_e.data[:, :s])
+        x_v, x_l = _gated_segments(monkeypatch, v_e, l_s, params, cfg)
+        np.testing.assert_allclose(x_v.data, expect_v * gate[:cfg.s_v], atol=1e-12)
+        np.testing.assert_allclose(x_l.data, l_s.data * gate[cfg.s_v:cfg.s_v + s], atol=1e-12)
 
 
 def test_forward_shapes():
     cfg, params, v_e, l_e = _setup()
-    f2 = AD.adaptor_forward(v_e, l_e, params, cfg)
-    s = cfg.s_v + cfg.s_l
-    assert AD.build_unified_input(v_e, l_e, params).shape == (2, s, cfg.e_l)
-    assert T.sigmoid(params["adp.ind.raw"]).shape == (s,)
-    assert f2.shape == (2, s, cfg.p)
+    assert T.sigmoid(params["adp.ind.raw"]).shape == (cfg.s_v + cfg.s_l,)
+    for s in (1, 2, cfg.s_l):
+        f2 = AD.adaptor_forward(v_e, Tensor(l_e.data[:, :s]), params, cfg)
+        assert f2.shape == (2, cfg.s_v + s, cfg.p)
 
 
 def test_decoupled_attention_straight_line_oracle():
-    """Recompute F2 with plain numpy: shared queries, per-segment keys/values."""
+    """Recompute F2 with plain numpy: shared queries, per-segment keys/values,
+    for keyword segments of 1, 2 and S_L rows."""
     cfg, params, v_e, l_e = _setup()
-    f2 = AD.adaptor_forward(v_e, l_e, params, cfg)
+    params["adp.ind.raw"].data[:] = RNG.normal(0, 1, cfg.s_v + cfg.s_l)
 
     def np_ln(x, g, b, eps):
         mu = x.mean(-1, keepdims=True)
         var = ((x - mu) ** 2).mean(-1, keepdims=True)
         return (x - mu) / np.sqrt(var + eps) * g + b
 
-    x = np.concatenate([v_e.data @ params["adp.proj.w"].data + params["adp.proj.b"].data,
-                        l_e.data], axis=1)
     gate = 1.0 / (1.0 + np.exp(-params["adp.ind.raw"].data))
-    xg = x * gate[:, None]
-    xv, xl = xg[:, :cfg.s_v], xg[:, cfg.s_v:]
-    nv = np_ln(xv, params["adp.ln_v.g"].data, params["adp.ln_v.b"].data, 1e-5)
-    nl = np_ln(xl, params["adp.ln_l.g"].data, params["adp.ln_l.b"].data, 1e-5)
-    q = np.concatenate([nv, nl], axis=1) @ params["adp.w_q"].data
-    k = np.concatenate([xv @ params["adp.w_kv"].data, xl @ params["adp.w_kl"].data], axis=1)
-    v = np.concatenate([xv @ params["adp.w_vv"].data, xl @ params["adp.w_vl"].data], axis=1)
-    logits = q @ np.swapaxes(k, -1, -2) / np.sqrt(cfg.p)
-    e = np.exp(logits - logits.max(-1, keepdims=True))
-    w = e / e.sum(-1, keepdims=True)
-    np.testing.assert_allclose(f2.data, w @ v, atol=1e-10)
+    for s in (1, 2, cfg.s_l):
+        l_s = l_e.data[:, :s]
+        f2 = AD.adaptor_forward(v_e, Tensor(l_s), params, cfg)
+        xv = ((v_e.data @ params["adp.proj.w"].data + params["adp.proj.b"].data)
+              * gate[:cfg.s_v, None])
+        xl = l_s * gate[cfg.s_v:cfg.s_v + s, None]
+        nv = np_ln(xv, params["adp.ln_v.g"].data, params["adp.ln_v.b"].data, 1e-5)
+        nl = np_ln(xl, params["adp.ln_l.g"].data, params["adp.ln_l.b"].data, 1e-5)
+        q = np.concatenate([nv, nl], axis=1) @ params["adp.w_q"].data
+        k = np.concatenate([xv @ params["adp.w_kv"].data, xl @ params["adp.w_kl"].data], axis=1)
+        v = np.concatenate([xv @ params["adp.w_vv"].data, xl @ params["adp.w_vl"].data], axis=1)
+        logits = q @ np.swapaxes(k, -1, -2) / np.sqrt(cfg.p)
+        e = np.exp(logits - logits.max(-1, keepdims=True))
+        w = e / e.sum(-1, keepdims=True)
+        assert f2.shape == (2, cfg.s_v + s, cfg.p)
+        np.testing.assert_allclose(f2.data, w @ v, atol=1e-10, err_msg=f"S={s}")
 
 
 def test_language_mask_blocks_padded_keys():

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -235,7 +236,7 @@ def test_load_layout_matches_random_init(row, dtype):
     cfg = ModelConfig(dtype=dtype, use_keywords=kw, use_abstractor=ab,
                       use_adaptor=ad, use_alignment=ca)
     drawn = ReportModel(cfg).params
-    layout = ReportModel(cfg, _random_init=False).params
+    layout = ReportModel(cfg, _rng=TR._Layout(10**9, dtype)).params
     assert list(layout) == list(drawn)
     for name, p in drawn.items():
         assert (layout[name].shape, layout[name].data.dtype) == (p.shape, p.data.dtype)
@@ -512,6 +513,59 @@ def test_checkpoint_byte_flips_raise_only_package_errors(tmp_path):
             TR.load_checkpoint(str(p))
         except (TR.CheckpointError, ConfigError):
             pass
+
+
+# the fields that size some parameter; n_q and enc_heads only split a width
+_LAYOUT_FIELDS = ("image_side", "e_v", "vocab_size", "e_l", "s_l", "enc_layers", "p",
+                  "d_align", "dec_d", "dec_layers", "n_kv")
+
+
+def test_checkpoint_seeded_mutations_raise_checkpoint_error(tmp_path):
+    # re-CRC'd mutations: a layout field inflated, nudged or shrunk in the
+    # config, the body cut anywhere after the metadata, or a byte of the
+    # record count or a record header flipped
+    model, state, _, tc = _tiny_run(1)
+    p = tmp_path / "mut.ckpt"
+    TR.save_checkpoint(model, state, tc, str(p))
+    body = p.read_bytes()[:-4]
+    config = json.loads(body[12:_meta_end(body)])["config"]
+    headers = [i for i in _fuzz_offsets(body, n_records=40) if i >= _meta_end(body)]
+    rng = np.random.default_rng(13)
+    for case in range(300):
+        kind = case % 3
+        if kind == 0:
+            key = str(rng.choice(_LAYOUT_FIELDS))
+            old = config[key]
+            new = int(rng.choice([old * int(rng.integers(2, 65)),
+                                  old + int(rng.integers(1, 9)), old - 1]))
+            mutated = _set_config_value(key, new)(body)
+        elif kind == 1:
+            mutated = body[:int(rng.integers(_meta_end(body), len(body)))]
+        else:
+            i = int(rng.choice(headers))
+            mutated = bytearray(body)
+            mutated[i] ^= int(rng.integers(1, 256))
+            mutated = bytes(mutated)
+        p.write_bytes(mutated + struct.pack("<I", zlib.crc32(mutated) & 0xFFFFFFFF))
+        with pytest.raises(TR.CheckpointError):
+            TR.load_checkpoint(str(p))
+
+
+def test_checkpoint_inflated_config_is_rejected_before_allocating(tmp_path):
+    # dec_d 1024 asks a toy file for ~100 MB of decoder weights
+    model, state, _, tc = _tiny_run(1)
+    p = tmp_path / "big.ckpt"
+    TR.save_checkpoint(model, state, tc, str(p))
+    body = _set_config_value("dec_d", 1024)(p.read_bytes()[:-4])
+    p.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TR.CheckpointError, match="more parameter bytes"):
+            TR.load_checkpoint(str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(body)
 
 
 # ---------------------------------------------------------------------
